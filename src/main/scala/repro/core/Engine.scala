@@ -1,12 +1,16 @@
 package repro.core
 
+import scala.annotation.unused
 import scala.collection.mutable
 import repro.cdd.Rule
 import repro.impute.{Imputer, Repo}
 import repro.index.{CDDIndex, DRIndex, ERGrid}
 
 /** TER-iDS query parameters (problem statement, §2.3 + Table 5). */
-final case class Params(keywords: Set[String], gamma: Double, alpha: Double, w: Int)
+final case class Params(keywords: Set[String], gamma: Double, alpha: Double, w: Int) {
+  /** The keywords as tokens (`Text.tokens`), the form values are compared in. */
+  val keywordTokens: Set[String] = keywords.flatMap(Text.tokens)
+}
 
 /** Which imputation method a configuration uses (§6.1 baselines). */
 sealed trait ImputeKind
@@ -64,25 +68,28 @@ final class Engine(
     rules: Seq[Rule],
     repoOpt: Option[Repo],
     pivots: Pivots,
-    vocab: Set[String],
+    @unused vocab: Set[String], // keyword presence comes from params.keywordTokens
     val params: Params,
     useCddIndex: Boolean,
     useDrIndex: Boolean,
     useGrid: Boolean,
     usePruning: Boolean,
     imputeKind: ImputeKind,
-    cellsPerDim: Int = 5,
 ) {
   require(imputeKind == UseCon || repoOpt.isDefined, "rule-based imputation needs a repository")
 
   val stats = new RunStats
 
+  private val keywords = params.keywordTokens
+
   private val cddIndex: Option[CDDIndex] =
     if (useCddIndex) Some(new CDDIndex(rules, pivots, d)) else None
   private val drIndex: Option[DRIndex] =
-    if (useDrIndex) repoOpt.map(new DRIndex(_, pivots, vocab)) else None
+    if (useDrIndex) repoOpt.flatMap(Engine.drIndexFor(_, pivots)) else None
   private val grid: Option[ERGrid] =
-    if (useGrid) Some(new ERGrid(d, cellsPerDim)) else None
+    if (useGrid) Some(new ERGrid(d, Engine.CellsPerDim)) else None
+
+  private val addSelectNanos: Long => Unit = stats.cddSelectNanos += _
 
   /** Per-stream sliding windows of (raw record, imputed sketch). */
   private val windows = mutable.Map.empty[Int, mutable.ArrayDeque[(Record, TupleSketch)]]
@@ -124,85 +131,43 @@ final class Engine(
     }
   }
 
-  /** Select the rules applicable to missing attribute j of r. */
-  private def selectRules(r: Record, j: Int): Seq[Rule] = cddIndex match {
-    case Some(idx) => idx.select(r, j)
-    case None      => rules.filter(rule => rule.dep == j && rule.applicableTo(r))
-  }
-
-  private def imputeRecord(r: Record): ImputedTuple = {
-    if (r.isComplete) return Imputer.imputeComplete(r)
-    imputeKind match {
-      case UseCon =>
-        val complete = windows.get(r.sid).iterator.flatten
-          .collect { case (rec, _) if rec.isComplete => (rec.ts, rec.attrs.map(_.get)) }
-          .toVector
-        Imputer.imputeFromWindow(r, complete)
-      case _ =>
-        val repo = repoOpt.get
-        val t0   = System.nanoTime()
-        val selected = r.missing.map(j => j -> selectRules(r, j)).toMap
-        stats.cddSelectNanos += System.nanoTime() - t0
-        // Index join: route each rule through the DR-index when its
-        // constraints are selective there (constant constraints become
-        // point queries); pure wide-range rules — and repositories small
-        // enough that a sequential verify beats any tree traversal — fall
-        // back to the scan. The paper's DR-index win materializes at its
-        // |R| ~ 10^5 scale; the adaptive cutover keeps the index join from
-        // being pure overhead at reproduction scale (see EXPERIMENTS.md).
-        val finder: Imputer.SampleFinder = drIndex match {
-          case Some(idx) if repo.size >= Engine.DrIndexMinRepo =>
-            val ixf  = idx.finderFor(r)
-            val scan = Imputer.allSamples(repo)
-            (rule, rec) =>
-              if (rule.det.valuesIterator.exists(_.isInstanceOf[repro.cdd.ValueEq])) ixf(rule, rec)
-              else scan(rule, rec)
-          case _ => Imputer.allSamples(repo)
-        }
-        val dists = r.attrs.indices.map { j =>
-          r.attrs(j) match {
-            case Some(v) => Vector((v, 1.0))
-            case None    =>
-              // The neighbor memo table belongs to the index infrastructure;
-              // naive baselines rescan the domain like the straightforward
-              // method (§2.3).
-              Imputer.valueDistribution(r, j, selected(j), repo, finder, cached = usePruning)
-          }
-        }.toVector
-        ImputedTuple(r.rid, r.sid, r.ts, dists, Imputer.assembleInstances(dists))
+  private def imputeRecord(r: Record): ImputedTuple =
+    if (imputeKind != UseCon)
+      // The neighbor memo table belongs to the index infrastructure; naive
+      // baselines rescan the domain like the straightforward method (§2.3).
+      Imputer.impute(r, rules, repoOpt.get, cddIndex, drIndex, cached = usePruning, addSelectNanos)
+    else if (r.isComplete) Imputer.imputeComplete(r)
+    else {
+      val complete = windows.get(r.sid).iterator.flatten
+        .collect { case (rec, _) if rec.isComplete => (rec.ts, rec.attrs.map(_.get)) }
+        .toVector
+      Imputer.imputeFromWindow(r, complete)
     }
-  }
 
   /** Candidate matching for one arrival against the current windows. */
   private def matchArrival(q: TupleSketch): Unit = {
-    val k     = params.keywords
-    val gamma = params.gamma
-    val alpha = params.alpha
+    val k      = keywords
+    val gamma  = params.gamma
+    val alpha  = params.alpha
     val qHasKw = q.hasAnyKeyword(k)
 
+    // One outcome per evaluated pair, so the counters partition pairsTotal.
     def tupleLevel(c: TupleSketch): Unit = {
       stats.pairsTotal += 1
       if (!usePruning) {
         val (pr, checked) = Pruning.prExact(q.t, c.t, k, gamma)
         stats.instancePairsChecked += checked
-        stats.refinedFull += 1
-        if (pr > alpha) addMatch(q.rid, c.rid)
-        return
+        if (pr > alpha) addMatch(q.rid, c.rid) else stats.refinedFull += 1
+      } else Pruning.testPair(q, qHasKw, c, k, gamma, alpha) match {
+        case Pruning.KeywordPruned => stats.prunedKeyword += 1
+        case Pruning.SimUBPruned   => stats.prunedSimUB += 1
+        case Pruning.ProbUBPruned  => stats.prunedProbUB += 1
+        case r: Pruning.Refined    =>
+          stats.instancePairsChecked += r.pairsChecked
+          if (r.matched) addMatch(q.rid, c.rid)
+          else if (r.earlyStopped) stats.prunedInstancePair += 1
+          else stats.refinedFull += 1
       }
-      // Theorem 4.1 — topic keyword pruning.
-      if (!qHasKw && !c.hasAnyKeyword(k)) { stats.prunedKeyword += 1; return }
-      // Theorem 4.2 — similarity upper bound (size, then pivot).
-      if (Pruning.ubSimBySize(q, c) <= gamma || Pruning.ubSimByPivot(q, c) <= gamma) {
-        stats.prunedSimUB += 1; return
-      }
-      // Theorem 4.3 — Paley–Zygmund probability upper bound.
-      if (Pruning.probUpperBound(q, c, gamma) <= alpha) { stats.prunedProbUB += 1; return }
-      // Theorem 4.4 — instance-pair-level refinement with early stop.
-      val r = Pruning.refine(q.t, c.t, k, gamma, alpha)
-      stats.instancePairsChecked += r.pairsChecked
-      if (r.matched) addMatch(q.rid, c.rid)
-      else if (r.earlyStopped) stats.prunedInstancePair += 1
-      else stats.refinedFull += 1
     }
 
     grid match {
@@ -214,7 +179,8 @@ final class Engine(
           // Cell-level prunes: aggregates bound every member, so a pruned
           // cell prunes all its members (soundness argued in DESIGN.md).
           val cellKwPruned  = !qHasKw && !agg.hasAnyKeyword(k)
-          val cellSimPruned = !cellKwPruned && cellSimUB(q, agg) <= gamma
+          val cellSimPruned = !cellKwPruned &&
+            math.min(Pruning.ubSimBySize(q.attrs, agg.attrs), Pruning.ubSimByPivot(q.attrs, agg.attrs)) <= gamma
           var i = 0
           while (i < members.length) {
             val e = members(i)
@@ -233,30 +199,6 @@ final class Engine(
     }
   }
 
-  /** Cell-level similarity upper bound: min of Lemma 4.1 (size intervals)
-    * and Lemma 4.2 (pivot-distance intervals) against the cell aggregate.
-    */
-  private def cellSimUB(q: TupleSketch, agg: ERGrid.CellAgg): Double = {
-    var bySize = 0.0
-    var byPiv  = 0.0
-    var j      = 0
-    while (j < d) {
-      val a = q.attrs(j)
-      bySize += Pruning.ubSimSizeAttr(a.sizeMin, a.sizeMax, agg.sizeMin(j), agg.sizeMax(j))
-      val nPiv = math.min(a.distLo.size, agg.lo(j).length)
-      var gap  = 0.0
-      var p    = 0
-      while (p < nPiv) {
-        val g = Pruning.minDistGap(a.distLo(p), a.distHi(p), agg.lo(j)(p), agg.hi(j)(p))
-        if (g > gap) gap = g
-        p += 1
-      }
-      byPiv += 1.0 - gap
-      j += 1
-    }
-    math.min(bySize, byPiv)
-  }
-
   /** Advance one timestamp with one arrival per (subset of) stream(s). */
   def step(arrivals: Seq[Record]): Unit = {
     stats.steps += 1
@@ -265,7 +207,7 @@ final class Engine(
       val cddBefore = stats.cddSelectNanos
       val t0 = System.nanoTime()
       val imputed = imputeRecord(r)
-      val sk      = TupleSketch.of(imputed, pivots, vocab)
+      val sk      = TupleSketch.of(imputed, pivots, keywords)
       // imputeRecord internally charges rule selection to cddSelectNanos;
       // keep the two break-up buckets disjoint (Fig. 6).
       stats.imputeNanos += (System.nanoTime() - t0) - (stats.cddSelectNanos - cddBefore)
@@ -290,7 +232,19 @@ final class Engine(
 
 object Engine {
   /** Below this repository size a verified sequential scan beats any tree
-    * traversal, so the index join routes sample retrieval to the scan.
+    * traversal, so the index join retrieves samples by the scan and no
+    * DR-index is built. The paper's DR-index win materializes at its
+    * |R| ~ 10^5 scale; the cutover keeps the index join from being pure
+    * overhead at reproduction scale (see EXPERIMENTS.md).
     */
   val DrIndexMinRepo = 1500
+
+  /** ER-grid cells per dimension. */
+  val CellsPerDim = 5
+
+  /** The DR-index the index join queries for `repo`, if it is large enough
+    * for the index to pay.
+    */
+  def drIndexFor(repo: Repo, pivots: Pivots): Option[DRIndex] =
+    if (repo.size >= DrIndexMinRepo) Some(new DRIndex(repo, pivots, Set.empty)) else None
 }

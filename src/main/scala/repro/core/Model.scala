@@ -50,14 +50,14 @@ final case class ImputedTuple(
 ) {
   def d: Int = attrDists.size
 
-  /** All keywords (from vocab) that ANY possible value of any attribute
+  /** The tokens of `keywords` that ANY possible value of any attribute
     * contains — used for Theorem 4.1 (prune only if no instance can contain
     * a query keyword).
     */
-  def possibleKeywords(vocab: Set[String]): Set[String] = {
+  def possibleKeywords(keywords: Set[String]): Set[String] = {
     val b = Set.newBuilder[String]
     attrDists.foreach(_.foreach { case (v, _) =>
-      Text.tokens(v).foreach(t => if (vocab.contains(t)) b += t)
+      Text.tokens(v).foreach(t => if (keywords.contains(t)) b += t)
     })
     b.result()
   }
@@ -77,7 +77,7 @@ final case class AttrSketch(
 )
 
 /** An imputed tuple plus the aggregates every pruning rule reads. `kw` is
-  * the set of topic-vocabulary keywords some instance may contain.
+  * the set of query keywords some instance may contain.
   */
 final case class TupleSketch(t: ImputedTuple, kw: Set[String], attrs: Vector[AttrSketch]) {
   def rid: Long = t.rid
@@ -85,7 +85,7 @@ final case class TupleSketch(t: ImputedTuple, kw: Set[String], attrs: Vector[Att
   def ts: Long  = t.ts
   def d: Int    = t.d
 
-  def hasAnyKeyword(k: Set[String]): Boolean = k.exists(kw.contains)
+  def hasAnyKeyword(k: Set[String]): Boolean = kw.nonEmpty && k.exists(kw.contains)
 
   /** lb/ub/E of X = dist(r, piv_a) summed over attributes (Lemma 4.3). */
   def lbDist(piv: Int): Double = { var s = 0.0; var i = 0; while (i < attrs.length) { s += attrs(i).distLo(piv); i += 1 }; s }
@@ -95,8 +95,12 @@ final case class TupleSketch(t: ImputedTuple, kw: Set[String], attrs: Vector[Att
 
 object TupleSketch {
 
-  /** Build the sketch of an imputed tuple against the selected pivots. */
-  def of(t: ImputedTuple, pivots: Pivots, vocab: Set[String]): TupleSketch = {
+  /** Build the sketch of an imputed tuple against the selected pivots.
+    * `keywords` are the query keywords as tokens (`Params.keywordTokens`),
+    * so keyword presence holds for any keyword set, in the topic vocabulary
+    * or not.
+    */
+  def of(t: ImputedTuple, pivots: Pivots, keywords: Set[String]): TupleSketch = {
     val attrs = t.attrDists.indices.map { j =>
       val pivTok = pivots.tokenSets(j)
       val nPiv   = pivTok.size
@@ -121,7 +125,7 @@ object TupleSketch {
       if (szMin == Int.MaxValue) szMin = 0
       AttrSketch(szMin, szMax, lo, hi, e)
     }.toVector
-    TupleSketch(t, t.possibleKeywords(vocab), attrs)
+    TupleSketch(t, t.possibleKeywords(keywords), attrs)
   }
 }
 

@@ -15,11 +15,15 @@ object Pruning {
     else 1.0
 
   /** Lemma 4.1: `ub_sim(r_i, r_j)` summed over attributes, tuple vs tuple. */
-  def ubSimBySize(x: TupleSketch, y: TupleSketch): Double = {
+  def ubSimBySize(x: TupleSketch, y: TupleSketch): Double = ubSimBySize(x.attrs, y.attrs)
+
+  /** Lemma 4.1 over per-attribute aggregates (a tuple's or an ER-grid cell's). */
+  def ubSimBySize(x: Vector[AttrSketch], y: Vector[AttrSketch]): Double = {
     var s = 0.0
     var k = 0
-    while (k < x.d) {
-      val (a, b) = (x.attrs(k), y.attrs(k))
+    while (k < x.length) {
+      val a = x(k)
+      val b = y(k)
       s += ubSimSizeAttr(a.sizeMin, a.sizeMax, b.sizeMin, b.sizeMax)
       k += 1
     }
@@ -36,14 +40,18 @@ object Pruning {
     * by both sketches on an attribute yields a valid lower bound of the
     * pairwise distance (triangle inequality), so we take the largest gap.
     */
-  def ubSimByPivot(x: TupleSketch, y: TupleSketch): Double = {
+  def ubSimByPivot(x: TupleSketch, y: TupleSketch): Double = ubSimByPivot(x.attrs, y.attrs)
+
+  /** Lemma 4.2 over per-attribute aggregates (a tuple's or an ER-grid cell's). */
+  def ubSimByPivot(x: Vector[AttrSketch], y: Vector[AttrSketch]): Double = {
     var s = 0.0
     var k = 0
-    while (k < x.d) {
-      val (a, b) = (x.attrs(k), y.attrs(k))
-      val nPiv   = math.min(a.distLo.size, b.distLo.size)
-      var gap    = 0.0
-      var p      = 0
+    while (k < x.length) {
+      val a    = x(k)
+      val b    = y(k)
+      val nPiv = math.min(a.distLo.length, b.distLo.length)
+      var gap  = 0.0
+      var p    = 0
       while (p < nPiv) {
         val g = minDistGap(a.distLo(p), a.distHi(p), b.distLo(p), b.distHi(p))
         if (g > gap) gap = g
@@ -86,11 +94,33 @@ object Pruning {
       x.eDist(0), x.lbDist(0), x.ubDist(0),
       y.eDist(0), y.lbDist(0), y.ubDist(0))
 
+  /** How the Theorem 4.1 → 4.4 cascade ended for one tuple pair. The three
+    * bound prunes are shared objects, so a pruned pair allocates nothing.
+    */
+  sealed abstract class Outcome {
+    def matched: Boolean = false
+  }
+  case object KeywordPruned extends Outcome // Theorem 4.1
+  case object SimUBPruned   extends Outcome // Theorem 4.2
+  case object ProbUBPruned  extends Outcome // Theorem 4.3
+
   /** Refinement outcome: whether the pair matches, whether Theorem 4.4 cut
     * the enumeration short (instance-pair-level prune / early accept), and
     * how many instance pairs were checked.
     */
-  final case class Refined(matched: Boolean, earlyStopped: Boolean, pairsChecked: Int, pr: Double)
+  final case class Refined(override val matched: Boolean, earlyStopped: Boolean, pairsChecked: Int, pr: Double)
+      extends Outcome
+
+  /** The TER-iDS tuple-pair test: Theorems 4.1, 4.2 and 4.3 in turn, then
+    * Theorem 4.4 refinement. `qHasKw` is `q.hasAnyKeyword(k)`, hoisted by
+    * callers that test one arrival against many candidates.
+    */
+  def testPair(q: TupleSketch, qHasKw: Boolean, c: TupleSketch,
+               k: Set[String], gamma: Double, alpha: Double): Outcome =
+    if (!qHasKw && !c.hasAnyKeyword(k)) KeywordPruned
+    else if (ubSimBySize(q, c) <= gamma || ubSimByPivot(q, c) <= gamma) SimUBPruned
+    else if (probUpperBound(q, c, gamma) <= alpha) ProbUBPruned
+    else refine(q.t, c.t, k, gamma, alpha)
 
   /** Exact TER-iDS probability check (Eq. 2) with Theorem 4.4 early
     * termination: stop as soon as the accumulated probability exceeds α

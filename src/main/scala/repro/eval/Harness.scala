@@ -146,7 +146,4 @@ object Harness {
     rows.foreach(r => sb.append(r.mkString("| ", " | ", " |\n")))
     sb.result()
   }
-
-  def fmtMs(nanos: Long, steps: Long): String =
-    if (steps == 0) "n/a" else f"${nanos / 1e6 / steps}%.4f"
 }

@@ -1,8 +1,8 @@
 package repro.impute
 
-import scala.collection.mutable
-import repro.cdd.Rule
+import repro.cdd.{Rule, ValueEq}
 import repro.core.{ImputedTuple, Instance, Record, Text}
+import repro.index.{CDDIndex, DRIndex}
 
 /** CDD-based imputation of incomplete tuples (§3, Eqs. 3–4), plus the
   * window-based imputer used by the `con+ER` baseline [43].
@@ -107,12 +107,33 @@ object Imputer {
       .map { case (vs, p) => Instance(vs, p) }
   }
 
-  /** Full imputation of a record using the given rules and sample finder. */
-  def impute(r: Record, rules: Seq[Rule], repo: Repo, finder: SampleFinder): ImputedTuple = {
+  /** Rule-based imputation of a record (Alg. 2), shared by `Engine` and
+    * `SparkTER`: rule selection (CDD-index if given, else a linear filter,
+    * timed into `selectNanos`), sample retrieval (the DR-index if given for
+    * constant-constrained rules, else the scan), then Eq. 4 distributions
+    * (`cached` as in [[valueDistribution]]) and the capped instances.
+    */
+  def impute(r: Record, rules: Seq[Rule], repo: Repo,
+             cddIndex: Option[CDDIndex] = None, drIndex: Option[DRIndex] = None,
+             cached: Boolean = true, selectNanos: Long => Unit = _ => ()): ImputedTuple = {
+    if (r.isComplete) return imputeComplete(r)
+    val t0 = System.nanoTime()
+    val selected = r.missing.map { j =>
+      j -> cddIndex.fold(rules.filter(rule => rule.dep == j && rule.applicableTo(r)))(_.select(r, j))
+    }.toMap
+    selectNanos(System.nanoTime() - t0)
+    // Constant constraints are DR-index point queries; wide ranges scan.
+    val scan = allSamples(repo)
+    val finder: SampleFinder = drIndex match {
+      case Some(idx) =>
+        val ixf = idx.finderFor(r)
+        (rule, rec) => if (rule.det.valuesIterator.exists(_.isInstanceOf[ValueEq])) ixf(rule, rec) else scan(rule, rec)
+      case None => scan
+    }
     val dists = r.attrs.indices.map { j =>
       r.attrs(j) match {
         case Some(v) => Vector((v, 1.0))
-        case None    => valueDistribution(r, j, rules, repo, finder)
+        case None    => valueDistribution(r, j, selected(j), repo, finder, cached)
       }
     }.toVector
     ImputedTuple(r.rid, r.sid, r.ts, dists, assembleInstances(dists))

@@ -1,7 +1,7 @@
 package repro.index
 
 /** Axis-aligned d-dimensional bounding box. */
-final class MBR(val lo: Array[Double], val hi: Array[Double]) {
+final class MBR(val lo: Array[Double], val hi: Array[Double]) extends Serializable {
   def dim: Int = lo.length
 
   def intersects(o: MBR): Boolean = {
@@ -47,7 +47,7 @@ object MBR {
   * chunk, recurse) — static is enough: both indexes are built offline in
   * the pre-computation phase (Alg. 1, lines 1–4).
   */
-final class ARTree[T, A] private (val root: ARTree.Node[T, A], val size: Int) {
+final class ARTree[T, A] private (val root: ARTree.Node[T, A], val size: Int) extends Serializable {
 
   /** Visit all entries whose node path survives `keepNode` and whose entry
     * survives `keepEntry`; calls `f` on surviving entries. Returns the

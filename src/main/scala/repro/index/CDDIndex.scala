@@ -20,7 +20,7 @@ import repro.core.{Pivots, Record, Text}
   * determinant are pruned structurally. Node aggregates bound the dependent
   * intervals `A_j.I` of the rules underneath.
   */
-final class CDDIndex(rules: Seq[Rule], pivots: Pivots, d: Int) {
+final class CDDIndex(rules: Seq[Rule], pivots: Pivots, d: Int) extends Serializable {
   import CDDIndex._
 
   private val groups: Map[Int, Vector[(Set[Int], ARTree[Rule, Agg])]] =

@@ -1,40 +1,35 @@
 package repro.index
 
+import scala.annotation.unused
 import repro.cdd.{DistRange, Rule, ValueEq}
 import repro.core.{Pivots, Record, Text}
 import repro.impute.Repo
 
 /** DR-index `I_R` (§5.1, Fig. 3): an aR-tree over the repository, each
   * sample converted to a d-dimensional point of main-pivot Jaccard
-  * distances. Node aggregates carry (1) the keyword/topic set present under
-  * the node, (2) per-attribute distance intervals to every pivot (main +
-  * auxiliary), and (3) per-attribute token-set size intervals.
+  * distances. Node aggregates carry per-attribute distance intervals to
+  * every pivot (main + auxiliary), the only aggregate sample retrieval
+  * reads.
   *
-  * `finder(rule, r)` returns candidate sample indices for imputation using
+  * `finderFor(r)` returns candidate sample indices for imputation using
   * triangle-inequality node pruning; candidates may contain false positives
   * (the imputer re-verifies) but never miss a satisfying sample.
+  *
+  * `vocab` is unused: keyword presence is computed from the query keywords.
   */
-final class DRIndex(repo: Repo, pivots: Pivots, vocab: Set[String]) {
+final class DRIndex(repo: Repo, pivots: Pivots, @unused vocab: Set[String]) extends Serializable {
   import DRIndex._
 
   val d: Int = repo.d
 
-  private val samplePoints: Array[Array[Double]] =
-    Array.tabulate(repo.size) { i =>
-      Array.tabulate(d)(x => Text.jdist(repo.tokenRows(i)(x), pivots.mainTokens(x)))
-    }
+  private def pivotDists(x: Int, tokens: Set[String]): Array[Double] =
+    Array.tabulate(pivots.nPivots(x))(a => Text.jdist(tokens, pivots.tokenSets(x)(a)))
 
-  private def aggOf(i: Int): Agg = {
-    val kw = repo.tokenRows(i).iterator.flatten.filter(vocab.contains).toSet
-    val lo = Array.tabulate(d)(x =>
-      Array.tabulate(pivots.nPivots(x))(a => Text.jdist(repo.tokenRows(i)(x), pivots.tokenSets(x)(a))))
-    val hi = lo.map(_.clone())
-    val sz = Array.tabulate(d)(x => repo.tokenRows(i)(x).size)
-    Agg(kw, lo, hi, sz.clone(), sz)
+  val tree: ARTree[Int, Agg] = {
+    val dists = repo.tokenRows.map(row => Array.tabulate(d)(x => pivotDists(x, row(x))))
+    ARTree.build(d, dists.indices.map(i => (MBR.point(dists(i).map(_(0))), i)))(
+      i => Agg(dists(i), dists(i)), mergeAgg)
   }
-
-  val tree: ARTree[Int, Agg] =
-    ARTree.build(d, repo.rows.indices.map(i => (MBR.point(samplePoints(i)), i)))(aggOf, mergeAgg)
 
   /** Leaf-visit count of the last query (complexity counter of §5.1). */
   @volatile var lastLeavesVisited: Int = 0
@@ -42,81 +37,45 @@ final class DRIndex(repo: Repo, pivots: Pivots, vocab: Set[String]) {
   /** Pivot distances of constant constraints are static per rule — memoize. */
   private val eqCache = new java.util.concurrent.ConcurrentHashMap[(Int, String), Array[Double]]()
 
-  /** Imputation sample finder: prune nodes that cannot contain any sample
-    * satisfying the rule's determinant constraints w.r.t. record r. Use
-    * [[finderFor]] when imputing one record against many rules — it
-    * precomputes the record's pivot distances once.
-    */
-  def finder: repro.impute.Imputer.SampleFinder = (rule: Rule, r: Record) => finderFor(r)(rule, r)
-
-  /** A finder specialized to one record (per-attribute pivot distances
-    * computed once, shared by every rule application).
+  /** Imputation sample finder for one record: prune nodes that cannot
+    * contain any sample satisfying the rule's determinant constraints w.r.t.
+    * the record. Its per-attribute pivot distances are computed once, shared
+    * by every rule application.
     */
   def finderFor(r0: Record): repro.impute.Imputer.SampleFinder = {
-    val recDists: Array[Array[Double]] = Array.tabulate(d) { x =>
-      r0.attrs(x) match {
-        case Some(v) =>
-          val rt = Text.tokens(v)
-          Array.tabulate(pivots.nPivots(x))(a => Text.jdist(rt, pivots.tokenSets(x)(a)))
-        case None => null
+    val recDists = Array.tabulate(d)(x => r0.attrs(x).map(v => pivotDists(x, Text.tokens(v))).orNull)
+    (rule: Rule, _: Record) => {
+      // Determinant x admits samples s with lo ≤ dist(r[x], s[x]) ≤ hi; a
+      // constant v admits dist(v, s[x]) = 0.
+      val checks = rule.det.toSeq.map {
+        case (x, DistRange(lo, hi)) => (x, lo, hi, recDists(x))
+        case (x, v: ValueEq)        => (x, 0.0, 0.0, eqCache.computeIfAbsent((x, v.v), _ => pivotDists(x, v.tokens)))
       }
-    }
-    (rule: Rule, r: Record) => {
-      val checks: Seq[(Int, Constraint2)] = rule.det.toSeq.map {
-        case (x, DistRange(lo, hi)) =>
-          (x, RangeCheck(lo, hi, recDists(x)))
-        case (x, v: ValueEq) =>
-          val pd = eqCache.computeIfAbsent((x, v.v), { _ =>
-            Array.tabulate(pivots.nPivots(x))(a => Text.jdist(v.tokens, pivots.tokenSets(x)(a)))
-          })
-          (x, EqCheck(pd))
-      }
-    val out = Vector.newBuilder[Int]
-    lastLeavesVisited = tree.search(
-      keepNode = (mbr, agg) => checks.forall {
-        case (x, RangeCheck(lo, hi, pd)) =>
-          // Samples s with lo ≤ dist(r[x], s[x]) ≤ hi must, for every pivot
-          // a, have dist(s,piv_a) ∈ [pd(a)-hi, pd(a)+hi]; and reachable
-          // distance max pd(a)+agg.hi must reach lo.
+      val out = Vector.newBuilder[Int]
+      lastLeavesVisited = tree.search(
+        // Triangle inequality: every pivot a has dist(s, piv_a) within hi of
+        // pd(a), and the farthest reachable distance pd(a) + dist(s, piv_a)
+        // must reach lo.
+        keepNode = (_, agg) => checks.forall { case (x, lo, hi, pd) =>
           (0 until pd.length).forall { a =>
-            val (nLo, nHi) = if (a == 0) (mbr.lo(x), mbr.hi(x)) else (agg.lo(x)(a), agg.hi(x)(a))
-            nHi >= pd(a) - hi - 1e-9 && nLo <= pd(a) + hi + 1e-9 && pd(a) + nHi >= lo - 1e-9
+            agg.hi(x)(a) >= pd(a) - hi - 1e-9 && agg.lo(x)(a) <= pd(a) + hi + 1e-9 && pd(a) + agg.hi(x)(a) >= lo - 1e-9
           }
-        case (x, EqCheck(pd)) =>
-          // Samples with s[x] = v have exactly dist(v, piv_a) on every pivot.
-          (0 until pd.length).forall { a =>
-            val (nLo, nHi) = if (a == 0) (mbr.lo(x), mbr.hi(x)) else (agg.lo(x)(a), agg.hi(x)(a))
-            nLo <= pd(a) + 1e-9 && nHi >= pd(a) - 1e-9
-          }
-      },
-      keepEntry = (_, _) => true,
-    )(out += _)
-    out.result().iterator
+        },
+        keepEntry = (_, _) => true,
+      )(out += _)
+      out.result().iterator
     }
   }
 }
 
 object DRIndex {
-  /** Node aggregate: keyword set, per-attr per-pivot distance intervals,
-    * per-attr token size intervals.
+  /** Node aggregate: per-attr per-pivot distance intervals (index 0 = main
+    * pivot, equal to the node's MBR).
     */
-  final case class Agg(
-      kw: Set[String],
-      lo: Array[Array[Double]],
-      hi: Array[Array[Double]],
-      sizeMin: Array[Int],
-      sizeMax: Array[Int],
-  )
+  final case class Agg(lo: Array[Array[Double]], hi: Array[Array[Double]])
 
   def mergeAgg(a: Agg, b: Agg): Agg = Agg(
-    a.kw ++ b.kw,
     Array.tabulate(a.lo.length)(x => Array.tabulate(a.lo(x).length)(p => math.min(a.lo(x)(p), b.lo(x)(p)))),
     Array.tabulate(a.hi.length)(x => Array.tabulate(a.hi(x).length)(p => math.max(a.hi(x)(p), b.hi(x)(p)))),
-    Array.tabulate(a.sizeMin.length)(x => math.min(a.sizeMin(x), b.sizeMin(x))),
-    Array.tabulate(a.sizeMax.length)(x => math.max(a.sizeMax(x), b.sizeMax(x))),
   )
-
-  private sealed trait Constraint2
-  private final case class RangeCheck(lo: Double, hi: Double, pivDists: Array[Double]) extends Constraint2
-  private final case class EqCheck(pivDists: Array[Double])                            extends Constraint2
 }

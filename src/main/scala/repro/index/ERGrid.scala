@@ -1,7 +1,7 @@
 package repro.index
 
 import scala.collection.mutable
-import repro.core.TupleSketch
+import repro.core.{AttrSketch, TupleSketch}
 
 /** ER-grid `G_ER` (§5.2): a d-dimensional grid over `[0,1]^d` of main-pivot
   * distance coordinates. Each imputed tuple occupies every cell its
@@ -83,7 +83,13 @@ object ERGrid {
       sizeMin: Array[Int],
       sizeMax: Array[Int],
   ) {
-    def hasAnyKeyword(k: Set[String]): Boolean = k.exists(kw.contains)
+    def hasAnyKeyword(k: Set[String]): Boolean = kw.nonEmpty && k.exists(kw.contains)
+
+    /** The cell's intervals in tuple-sketch form for the Lemma 4.1/4.2
+      * bounds (`distE` is not aggregated).
+      */
+    val attrs: Vector[AttrSketch] =
+      Vector.tabulate(lo.length)(j => AttrSketch(sizeMin(j), sizeMax(j), lo(j), hi(j), null))
   }
 
   object CellAgg {

@@ -1,14 +1,16 @@
 package repro.spark
 
+import scala.annotation.unused
 import scala.collection.mutable
-import org.apache.spark.sql.{Dataset, SparkSession}
-import org.apache.spark.sql.functions.{abs => sqlAbs, col}
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.sql.SparkSession
 import repro.cdd.Rule
 import repro.core._
 import repro.impute.{Imputer, Repo}
+import repro.index.{CDDIndex, DRIndex}
 
-/** Row types crossing the Catalyst boundary. A `null` attribute element
-  * encodes a missing value ("–" in the paper).
+/** An arrival as it enters Spark. A `null` attribute element encodes a
+  * missing value ("–" in the paper).
   */
 final case class RecordRow(rid: Long, sid: Int, ts: Long, attrs: Seq[String]) {
   def toRecord: Record = Record(rid, sid, ts, attrs.map(Option(_)).toVector)
@@ -17,80 +19,17 @@ object RecordRow {
   def of(r: Record): RecordRow = RecordRow(r.rid, r.sid, r.ts, r.attrs.map(_.orNull))
 }
 
-final case class InstanceRow(attrs: Seq[String], p: Double)
-final case class AttrAggRow(sizeMin: Int, sizeMax: Int,
-                            distLo: Seq[Double], distHi: Seq[Double], distE: Seq[Double])
-
-/** The window-state row: an imputed tuple plus every aggregate the pruning
-  * filters read (§5.2 aggregates), Catalyst-encodable.
-  */
-final case class SketchRow(rid: Long, sid: Int, ts: Long, hasKw: Boolean,
-                           kw: Seq[String], attrs: Seq[AttrAggRow], instances: Seq[InstanceRow]) {
-  def toSketch: TupleSketch = {
-    val inst  = instances.map(i => Instance(i.attrs.toVector, i.p)).toVector
-    // attrDists are only needed for aggregate building, which already
-    // happened — reconstruct a placeholder carrying the right arity.
-    val dists = attrs.indices.map(j => Vector((inst.headOption.map(_.attrs(j)).getOrElse(""), 1.0))).toVector
-    val t     = ImputedTuple(rid, sid, ts, dists, inst)
-    TupleSketch(t, kw.toSet,
-      attrs.map(a => AttrSketch(a.sizeMin, a.sizeMax, a.distLo.toArray, a.distHi.toArray, a.distE.toArray)).toVector)
-  }
-}
-
-/** Pure per-row / per-pair functions shared between executor closures; they
-  * capture only serializable inputs (rules, repository, pivots), never the
-  * SparkSession.
-  */
-object SparkTER {
-
-  /** Impute one record (Eqs. 3–4, linear rule/sample application — the same
-    * frequency multiset the indexed engine verifies to) and sketch it.
-    */
-  def sketchRowOf(row: RecordRow, d: Int, rules: Seq[Rule], repo: Repo,
-                  pivots: Pivots, vocab: Set[String], keywords: Set[String]): SketchRow = {
-    val r = row.toRecord
-    val imputed =
-      if (r.isComplete) Imputer.imputeComplete(r)
-      else Imputer.impute(r, rules, repo, Imputer.allSamples(repo))
-    val sk = TupleSketch.of(imputed, pivots, vocab)
-    SketchRow(
-      r.rid, r.sid, r.ts,
-      sk.hasAnyKeyword(keywords),
-      sk.kw.toSeq.sorted,
-      sk.attrs.map(a => AttrAggRow(a.sizeMin, a.sizeMax, a.distLo, a.distHi, a.distE)),
-      imputed.instances.map(i => InstanceRow(i.attrs, i.p)),
-    )
-  }
-
-  /** Full tuple-pair evaluation: Theorems 4.1–4.4 then exact refinement —
-    * identical to `Engine`'s tuple-level path, so prunes are sound and the
-    * match decision is bit-identical.
-    */
-  def pairMatches(q: SketchRow, c: SketchRow, keywords: Set[String],
-                  gamma: Double, alpha: Double): Boolean = {
-    if (!q.hasKw && !c.hasKw) return false
-    val qs = q.toSketch
-    val cs = c.toSketch
-    if (Pruning.ubSimBySize(qs, cs) <= gamma || Pruning.ubSimByPivot(qs, cs) <= gamma) return false
-    if (Pruning.probUpperBound(qs, cs, gamma) <= alpha) return false
-    Pruning.refine(qs.t, cs.t, keywords, gamma, alpha).matched
-  }
-}
-
-/** Micro-batch TER-iDS as Spark dataflow (DESIGN.md "Layering note"):
+/** Micro-batch TER-iDS on Spark, a thin layer over `Engine`'s functions
+  * (DESIGN.md "Layering note"). Each batch is two Spark jobs: a map that
+  * imputes and sketches every arrival once, as `Engine` does, then a job
+  * that tests each arrival with `Pruning.testPair` against exactly the
+  * windows `Engine` holds when that arrival comes in.
   *
-  *  - **imputation**: a map over the arriving micro-batch against the
-  *    broadcast repository + rules (each task imputes its partition);
-  *  - **matching**: a stateful theta-join of the micro-batch against the
-  *    sliding-window state Dataset (different stream, both sides inside the
-  *    other's count-based window, each pair evaluated once at the later
-  *    arrival), with the keyword filter pushed down as a column predicate
-  *    and Theorems 4.2–4.4 as typed filters;
-  *  - **state**: per-stream w most recent tuples, maintained across batches.
-  *
-  * The driver keeps the (small) window state materialized between batches —
-  * the standard foreachBatch pattern for state that built-in stream-stream
-  * joins cannot express (count-based windows + self-eviction).
+  * The windows stay in this object, outside Spark, and follow `Engine.step`'s
+  * eviction: as a timestamp (a run of rows with equal `ts`, which a batch
+  * must not split) starts, each stream with an arrival is cut to w − 1
+  * tuples; then the arrivals are matched and appended in the order given.
+  * `vocab` is unused.
   */
 final class SparkTER(
     spark: SparkSession,
@@ -98,59 +37,66 @@ final class SparkTER(
     rules: Seq[Rule],
     repo: Repo,
     pivots: Pivots,
-    vocab: Set[String],
+    @unused vocab: Set[String],
     params: Params,
 ) {
-  import spark.implicits._
+  private val sc = spark.sparkContext
 
-  private var state: Array[SketchRow]        = Array.empty
-  private val all                            = mutable.LinkedHashSet.empty[(Long, Long)]
+  private val sketcher = SparkTER.Sketcher(rules, repo, new CDDIndex(rules, pivots, d),
+    Engine.drIndexFor(repo, pivots), pivots, params.keywordTokens)
 
-  def windowState: Seq[SketchRow]   = state.toSeq
+  // Broadcast on first use: the repository and indexes reach the tasks once,
+  // not with every batch's closure.
+  private lazy val sketcherBc: Broadcast[SparkTER.Sketcher] = sc.broadcast(sketcher)
+
+  /** Per-stream windows, oldest first. */
+  private val windows = mutable.Map.empty[Int, Array[TupleSketch]]
+  private val all     = mutable.LinkedHashSet.empty[(Long, Long)]
+
+  def windowState: Seq[TupleSketch] = windows.valuesIterator.flatten.toSeq
   def allMatches: Set[(Long, Long)] = all.toSet
 
   /** Process one micro-batch of arrivals; returns the new matching pairs. */
   def processBatch(records: Seq[RecordRow]): Set[(Long, Long)] = {
     if (records.isEmpty) return Set.empty
-    val (rulesL, repoL, pivotsL, vocabL, kwL, dL) = (rules, repo, pivots, vocab, params.keywords, d)
-    val (gammaL, alphaL, wL)                      = (params.gamma, params.alpha, params.w)
+    val bc       = sketcherBc
+    val arrivals = sc.parallelize(records, sc.defaultParallelism).map(r => bc.value.sketch(r)).collect()
 
-    val batchDS: Dataset[SketchRow] = spark
-      .createDataset(records)
-      .map(r => SparkTER.sketchRowOf(r, dL, rulesL, repoL, pivotsL, vocabL, kwL))
-    val stateAll: Dataset[SketchRow] = spark.createDataset(state.toSeq).union(batchDS)
+    // Per stream, what this batch's arrivals can see: the window as the batch
+    // starts, then the stream's own arrivals. Replaying Engine.step on
+    // positions gives each arrival the range [from, until) of every stream.
+    val sids  = (windows.keySet ++ arrivals.map(_.sid)).toArray.sorted
+    val cands = sids.map(s => windows.getOrElse(s, Array.empty[TupleSketch]) ++ arrivals.filter(_.sid == s))
+    val from  = new Array[Int](sids.length)
+    val until = sids.map(s => windows.get(s).fold(0)(_.length))
+    val probes = arrivals.indices.map { a =>
+      val ts = arrivals(a).ts
+      if (a == 0 || arrivals(a - 1).ts != ts) // a timestamp starts: cut its streams to w - 1 tuples
+        arrivals.iterator.drop(a).takeWhile(_.ts == ts).map(r => sids.indexOf(r.sid))
+          .foreach(s => from(s) = math.max(from(s), until(s) - (params.w - 1)))
+      val s = sids.indexOf(arrivals(a).sid)
+      until(s) += 1
+      SparkTER.Probe(s, until(s) - 1, from.clone(), until.clone())
+    }
+    sids.indices.foreach(s => windows(sids(s)) = cands(s).slice(from(s), until(s)))
 
-    // Each pair is evaluated once, when its later member arrives (q = the
-    // later arrival); both members must be within w arrivals of each other
-    // (count-based window, streams advancing in lockstep).
-    val joined = batchDS
-      .joinWith(
-        stateAll,
-        batchDS("sid") =!= stateAll("sid") &&
-          (batchDS("hasKw") || stateAll("hasKw")) &&
-          sqlAbs(batchDS("ts") - stateAll("ts")) < wL &&
-          (stateAll("ts") < batchDS("ts") ||
-            (stateAll("ts") === batchDS("ts") && stateAll("sid") < batchDS("sid"))),
-        "inner",
-      )
-    val matched = joined
-      .filter { qc: (SketchRow, SketchRow) => SparkTER.pairMatches(qc._1, qc._2, kwL, gammaL, alphaL) }
-      .map(qc => (math.min(qc._1.rid, qc._2.rid), math.max(qc._1.rid, qc._2.rid)))
-      .collect()
-      .toSet
+    val (k, gamma, alpha) = (params.keywordTokens, params.gamma, params.alpha)
+    val matched = sc.parallelize(probes, sc.defaultParallelism).flatMap { p =>
+      val q      = cands(p.stream)(p.pos)
+      val qHasKw = q.hasAnyKeyword(k)
+      for {
+        s <- p.from.indices.iterator if s != p.stream
+        c <- p.from(s).until(p.until(s)).iterator.map(cands(s))
+        if Pruning.testPair(q, qHasKw, c, k, gamma, alpha).matched
+      } yield (math.min(q.rid, c.rid), math.max(q.rid, c.rid))
+    }.collect().toSet
 
     all ++= matched
-    // New state: per-stream w most recent tuples.
-    state = stateAll
-      .groupByKey(_.sid)
-      .flatMapGroups((_: Int, it: Iterator[SketchRow]) => it.toSeq.sortBy(-_.ts).take(wL).iterator)
-      .collect()
-      .sortBy(s => (s.sid, s.ts))
     matched
   }
 
-  /** Drive equal-length interleaved streams in micro-batches of `batchTs`
-    * timestamps each (one record per stream per timestamp).
+  /** Drive interleaved streams (one record per stream per timestamp, until
+    * each stream ends) in micro-batches of `batchTs` timestamps each.
     */
   def runStreams(streams: Seq[Seq[Record]], batchTs: Int): Set[(Long, Long)] = {
     val n = streams.map(_.size).max
@@ -163,4 +109,19 @@ final class SparkTER(
     }
     allMatches
   }
+}
+
+object SparkTER {
+
+  /** What a task needs to impute and sketch an arrival as `Engine` does. */
+  private[spark] final case class Sketcher(rules: Seq[Rule], repo: Repo, cddIndex: CDDIndex,
+                                           drIndex: Option[DRIndex], pivots: Pivots, keywords: Set[String]) {
+    def sketch(row: RecordRow): TupleSketch =
+      TupleSketch.of(Imputer.impute(row.toRecord, rules, repo, Some(cddIndex), drIndex), pivots, keywords)
+  }
+
+  /** One arrival's pair tests: the arrival is `cands(stream)(pos)`, and it
+    * sees positions `[from(s), until(s))` of every other stream `s`.
+    */
+  private[spark] final case class Probe(stream: Int, pos: Int, from: Array[Int], until: Array[Int])
 }

@@ -25,12 +25,22 @@ final class StreamingTER(
     rules: Seq[Rule],
     repo: Repo,
     pivots: Pivots,
-    vocab: Set[String],
     params: Params,
 ) {
   import spark.implicits._
 
-  val ter = new SparkTER(spark, d, rules, repo, pivots, vocab, params)
+  val ter = new SparkTER(spark, d, rules, repo, pivots, Set.empty, params)
+
+  // SparkTER cuts windows as a timestamp starts, so a timestamp must reach it
+  // whole: a micro-batch's newest one waits for a later one or a read.
+  private var pending = Vector.empty[RecordRow]
+
+  private def process(rows: Seq[RecordRow], flush: Boolean): Unit = synchronized {
+    val all          = (pending ++ rows).sortBy(r => (r.ts, r.sid))
+    val (done, held) = all.partition(r => flush || r.ts < all.last.ts)
+    ter.processBatch(done)
+    pending = held
+  }
 
   private implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
   val source: MemoryStream[RecordRow] = MemoryStream[RecordRow]
@@ -41,19 +51,22 @@ final class StreamingTER(
     .outputMode("update")
     .trigger(Trigger.ProcessingTime(0))
     .foreachBatch { (ds: org.apache.spark.sql.Dataset[RecordRow], _: Long) =>
-      val rows = ds.collect().sortBy(r => (r.ts, r.sid)).toSeq
-      ter.processBatch(rows)
-      ()
+      process(ds.collect().toSeq, flush = false)
     }
     .start()
 
-  /** Feed arrivals and block until the engine has consumed them. */
+  /** Feed arrivals and block until the engine has consumed them (all but
+    * the held-back newest timestamp).
+    */
   def feed(rows: Seq[RecordRow]): Unit = {
     source.addData(rows)
     query.processAllAvailable()
   }
 
-  def allMatches: Set[(Long, Long)] = ter.allMatches
+  def allMatches: Set[(Long, Long)] = {
+    process(Seq.empty, flush = true)
+    ter.allMatches
+  }
 
   def stop(): Unit = query.stop()
 }

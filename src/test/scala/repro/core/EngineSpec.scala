@@ -41,13 +41,26 @@ class EngineSpec extends AnyFunSuite {
   }
 
   test("pruning counters partition the candidate pairs") {
-    val s = results(TERiDS).stats
-    val accounted = s.prunedKeyword + s.prunedSimUB + s.prunedProbUB +
-      s.prunedInstancePair + s.refinedFull + s.matchedPairs
-    // matched pairs found via early-accept are counted in matchedPairs;
-    // everything else must be one of the four prunes or a full refinement.
-    assert(accounted >= s.pairsTotal, s"accounted=$accounted total=${s.pairsTotal}")
-    assert(s.pairsTotal > 0)
+    // Every evaluated pair ends in exactly one outcome: one of the four
+    // prunes, a full refinement that rejects, or a match.
+    Method.all.foreach { m =>
+      val s = results(m).stats
+      val accounted = s.prunedKeyword + s.prunedSimUB + s.prunedProbUB +
+        s.prunedInstancePair + s.refinedFull + s.matchedPairs
+      assert(accounted == s.pairsTotal, s"$m accounted=$accounted total=${s.pairsTotal}")
+      assert(s.pairsTotal > 0)
+    }
+  }
+
+  test("keywords outside the topic vocabulary or in upper case prune soundly (Thm 4.1)") {
+    def found(method: Method, kw: Set[String]): Set[(Long, Long)] =
+      Draw(cfg.profile, cfg.eta, cfg.xi, cfg.m, cfg.alpha, cfg.rho, 40, kw, Vector(200, 200, 0), 99L, 1).run(method)
+    Seq(Set("w1t0"), Set("TOPIC0")).foreach { kw =>
+      assert(found(TERiDS, kw) == found(CddEr, kw), s"keywords $kw")
+    }
+    assert(found(TERiDS, Set("w1t0")).nonEmpty)
+    assert(found(TERiDS, Set("TOPIC0")) == found(TERiDS, Set("topic0")))
+    assert(found(TERiDS, Set("topic0")).nonEmpty)
   }
 
   test("naive engines never report pruning") {

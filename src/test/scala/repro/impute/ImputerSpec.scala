@@ -105,7 +105,7 @@ class ImputerSpec extends AnyFunSuite {
   }
 
   test("impute keeps non-missing attributes certain") {
-    val t = Imputer.impute(rIncomplete, Seq(cdd1), repo, all)
+    val t = Imputer.impute(rIncomplete, Seq(cdd1), repo)
     assert(t.attrDists(0) == Vector(("a1", 1.0)))
     assert(t.attrDists(1) == Vector(("b1 b2 b3", 1.0)))
     assert(t.attrDists(2).size == 2)

@@ -74,8 +74,8 @@ class IndexesSpec extends AnyFunSuite {
   test("DR-index-assisted imputation equals linear-scan imputation") {
     val recs = randomRecords(60, xi = 0.7, m = 1).filter(_.missing.nonEmpty)
     recs.foreach { r =>
-      val linear  = Imputer.impute(r, rules, repo, Imputer.allSamples(repo))
-      val indexed = Imputer.impute(r, rules, repo, drIdx.finderFor(r))
+      val linear  = Imputer.impute(r, rules, repo)
+      val indexed = Imputer.impute(r, rules, repo, drIndex = Some(drIdx))
       assert(linear.attrDists == indexed.attrDists, s"rid=${r.rid}")
       assert(linear.instances == indexed.instances)
     }

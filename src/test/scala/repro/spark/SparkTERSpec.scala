@@ -5,22 +5,21 @@ import repro.core._
 import repro.data.ERSynth
 import repro.eval._
 
-/** The Spark dataflow pipeline must produce exactly the same entity set as
-  * the single-node engine — imputation shares the core code, the window
-  * join implements the same count-based semantics, and all pruning filters
-  * are the same sound theorems.
+/** The Spark pipeline must produce exactly the same entity set as the
+  * single-node engine: it runs the engine's imputation and pair test against
+  * the engine's count-based windows.
   */
 class SparkTERSpec extends SparkSpec {
 
   private val cfg   = ExpConfig(ERSynth.Citations, w = 80, maxSteps = 150)
   private lazy val b = Harness.base(cfg.profile)
 
-  private def mkSparkTer(): SparkTER = {
-    val params = Params(ERSynth.defaultKeywords(b), cfg.gamma, cfg.alpha, cfg.w)
+  private def mkSparkTer(c: ExpConfig = cfg): SparkTER = {
+    val params = Params(ERSynth.defaultKeywords(b), c.gamma, c.alpha, c.w)
     new SparkTER(spark, b.profile.d,
-      Harness.rules(cfg.profile, cfg.eta, UseCDD),
-      Harness.repo(cfg.profile, cfg.eta),
-      Harness.pivots(cfg.profile, cfg.eta),
+      Harness.rules(c.profile, c.eta, UseCDD),
+      Harness.repo(c.profile, c.eta),
+      Harness.pivots(c.profile, c.eta),
       b.topicVocab, params)
   }
 
@@ -56,19 +55,6 @@ class SparkTERSpec extends SparkSpec {
     bySid.values.foreach(s => assert(s.size <= cfg.w))
   }
 
-  test("sketch rows round-trip the pruning aggregates") {
-    val ter = mkSparkTer()
-    ter.runStreams(streams.map(_.take(30)), batchTs = 30)
-    ter.windowState.foreach { row =>
-      val sk = row.toSketch
-      assert(sk.d == b.profile.d)
-      assert(sk.rid == row.rid && sk.sid == row.sid)
-      (0 until sk.d).foreach { j =>
-        assert(sk.attrs(j).distLo(0) <= sk.attrs(j).distHi(0) + 1e-12)
-      }
-    }
-  }
-
   test("RecordRow round-trips missing attributes as nulls") {
     val r  = Record(7, 1, 3, Vector(Some("a"), None, Some("c"), None))
     val rr = RecordRow.of(r)
@@ -76,22 +62,27 @@ class SparkTERSpec extends SparkSpec {
     assert(rr.toRecord == r)
   }
 
-  test("pairMatches agrees with the engine's tuple-level decision path") {
-    val rules  = Harness.rules(cfg.profile, cfg.eta, UseCDD)
-    val repo   = Harness.repo(cfg.profile, cfg.eta)
-    val pivots = Harness.pivots(cfg.profile, cfg.eta)
-    val kws    = ERSynth.defaultKeywords(b)
-    val (sa, sb) = ERSynth.mask(b, 0.4, 1)
-    val rows = (sa.take(40) ++ sb.take(40)).map(r =>
-      SparkTER.sketchRowOf(RecordRow.of(r), 4, rules, repo, pivots, b.topicVocab, kws))
-    val byStream = rows.groupBy(_.sid)
-    for (qa <- byStream(0).take(20); cb <- byStream(1).take(20)) {
-      val expected = {
-        val q = qa.toSketch; val c = cb.toSketch
-        Pruning.refine(q.t, c.t, kws, cfg.gamma, cfg.alpha).matched &&
-          (q.hasAnyKeyword(kws) || c.hasAnyKeyword(kws))
-      }
-      assert(SparkTER.pairMatches(qa, cb, kws, cfg.gamma, cfg.alpha) == expected)
-    }
+  test("Spark equals the engine and CDD+ER on unequal-length streams") {
+    val c        = cfg.copy(w = 40)
+    val (sa, sb) = ERSynth.mask(b, c.xi, c.m)
+    val uneven   = Seq(sa.take(400), sb.take(120))
+    val eng      = Harness.engineFor(TERiDS, c)
+    eng.run(uneven)
+    val naive = Harness.engineFor(CddEr, c)
+    naive.run(uneven)
+    val ter = mkSparkTer(c)
+    assert(ter.runStreams(uneven, batchTs = 25) == eng.allMatches)
+    assert(eng.allMatches == naive.allMatches)
+    assert(eng.allMatches.nonEmpty)
+    // The shorter stream's window stops being cut once it ends.
+    val bySid = ter.windowState.groupBy(_.sid)
+    Seq(0, 1).foreach(sid => assert(bySid(sid).size == eng.windowSize(sid)))
+  }
+
+  test("Spark equals the engine with w = 1") {
+    val c   = cfg.copy(w = 1)
+    val eng = Harness.engineFor(TERiDS, c)
+    eng.run(streams)
+    assert(mkSparkTer(c).runStreams(streams, batchTs = 20) == eng.allMatches)
   }
 }
