@@ -2,6 +2,7 @@ package repro.cdd
 
 import scala.collection.mutable
 import scala.util.Random
+import repro.core.Text
 import repro.impute.Repo
 
 /** Rule discovery from the data repository R (§2.2 "CDD Rule Detection").
@@ -76,7 +77,7 @@ object RuleMiner {
     var k = 0
     while (k < cfg.samplePairs / 2) { add(rnd.nextInt(n), rnd.nextInt(n)); k += 1 }
     sel.result().map { case (i1, i2) =>
-      val ds = Array.tabulate(repo.d)(x => repro.core.Text.jdist(repo.tokenRows(i1)(x), repo.tokenRows(i2)(x)))
+      val ds = Array.tabulate(repo.d)(x => Text.jdist(repo.tokenRows(i1)(x), repo.tokenRows(i2)(x)))
       (i1, i2, ds)
     }
   }
@@ -126,7 +127,7 @@ object RuleMiner {
               val i1 = is(rnd.nextInt(is.size))
               val i2 = is(rnd.nextInt(is.size))
               if (i1 != i2)
-                dists += repro.core.Text.jdist(repo.tokenRows(i1)(j), repo.tokenRows(i2)(j))
+                dists += Text.jdist(repo.tokenRows(i1)(j), repo.tokenRows(i2)(j))
               k += 1
             }
             val ds = dists.result()

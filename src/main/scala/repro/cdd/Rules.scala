@@ -11,7 +11,7 @@ final case class DistRange(lo: Double, hi: Double) extends Constraint {
   require(lo >= 0 && lo < hi + 1e-12, s"bad interval [$lo,$hi]")
 }
 final case class ValueEq(v: String) extends Constraint {
-  lazy val tokens: Set[String] = Text.tokens(v)
+  lazy val tokens: Array[String] = Text.tokens(v)
 }
 
 /** A conditional differential dependency `X -> A_dep, φ[X A_dep]` (Def. 3).
@@ -31,14 +31,14 @@ final case class Rule(dep: Int, det: Map[Int, Constraint], depLo: Double, depHi:
     r.attrs(dep).isEmpty && det.keysIterator.forall(x => r.attrs(x).isDefined)
 
   /** `(r, s) ≍ φ[X]`: does the (record, sample) pair satisfy all determinant
-    * constraints? `sTokens(x)` are the sample's token sets per attribute.
+    * constraints? `sTokens(x)` are the sample's token arrays per attribute.
     */
-  def satisfiedBy(rTokens: Int => Set[String], sTokens: Int => Set[String]): Boolean =
+  def satisfiedBy(rTokens: Int => Array[String], sTokens: Int => Array[String]): Boolean =
     det.forall {
       case (x, DistRange(lo, hi)) =>
         val dd = Text.jdist(rTokens(x), sTokens(x))
         dd >= lo - 1e-12 && dd <= hi + 1e-12
       case (x, v: ValueEq) =>
-        rTokens(x) == v.tokens && sTokens(x) == v.tokens
+        Text.same(rTokens(x), v.tokens) && Text.same(sTokens(x), v.tokens)
     }
 }

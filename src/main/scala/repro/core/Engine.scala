@@ -9,7 +9,7 @@ import repro.index.{CDDIndex, DRIndex, ERGrid}
 /** TER-iDS query parameters (problem statement, §2.3 + Table 5). */
 final case class Params(keywords: Set[String], gamma: Double, alpha: Double, w: Int) {
   /** The keywords as tokens (`Text.tokens`), the form values are compared in. */
-  val keywordTokens: Set[String] = keywords.flatMap(Text.tokens)
+  val keywordTokens: Set[String] = keywords.flatMap(k => Text.tokens(k))
 }
 
 /** Which imputation method a configuration uses (§6.1 baselines). */
@@ -90,6 +90,9 @@ final class Engine(
     if (useGrid) Some(new ERGrid(d, Engine.CellsPerDim)) else None
 
   private val addSelectNanos: Long => Unit = stats.cddSelectNanos += _
+
+  /** Grid traversals so far; tags which traversal visited a grid entry. */
+  private var traversals = 0L
 
   /** Per-stream sliding windows of (raw record, imputed sketch). */
   private val windows = mutable.Map.empty[Int, mutable.ArrayDeque[(Record, TupleSketch)]]
@@ -174,7 +177,8 @@ final class Engine(
       case Some(g) if usePruning =>
         // Only tuples spanning several cells need dedup; point tuples
         // (complete on every attribute) live in exactly one cell.
-        val visited = mutable.HashSet.empty[Long]
+        traversals += 1
+        val visit = traversals
         g.nonEmptyCells.foreach { case (agg, members) =>
           // Cell-level prunes: aggregates bound every member, so a pruned
           // cell prunes all its members (soundness argued in DESIGN.md).
@@ -184,7 +188,7 @@ final class Engine(
           var i = 0
           while (i < members.length) {
             val e = members(i)
-            if (e.sk.sid != q.sid && (!e.multiCell || visited.add(e.sk.rid))) {
+            if (e.sk.sid != q.sid && (!e.multiCell || e.visit(visit))) {
               if (cellKwPruned) { stats.pairsTotal += 1; stats.prunedKeyword += 1 }
               else if (cellSimPruned) { stats.pairsTotal += 1; stats.prunedSimUB += 1 }
               else tupleLevel(e.sk)

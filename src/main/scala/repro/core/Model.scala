@@ -17,18 +17,46 @@ final case class Record(rid: Long, sid: Int, ts: Long, attrs: Vector[Option[Stri
 
 /** One possible complete world of an imputed tuple, with existence prob. */
 final case class Instance(attrs: Vector[String], p: Double) {
-  lazy val tokenSets: Vector[Set[String]] = attrs.map(Text.tokens)
+  /** Per-attribute token arrays (`Text.tokens`). */
+  lazy val tokens: Array[Array[String]] = attrs.iterator.map(Text.tokens).toArray
 
-  /** ϖ(r_{i,m}, K): does this instance contain at least one query keyword? */
+  /** ϖ(r_{i,m}, K): does this instance contain at least one query keyword?
+    * One lookup per keyword and attribute.
+    */
   def hasKeyword(k: Set[String]): Boolean =
-    k.nonEmpty && tokenSets.exists(ts => ts.exists(k.contains))
+    k.nonEmpty && k.exists(t => tokens.exists(Text.contains(_, t)))
 
   /** sim(r_{i,m}, r_{j,m'}) — Eq. (1): sum of per-attribute Jaccard sims. */
   def sim(o: Instance): Double = {
+    val a = tokens
+    val b = o.tokens
     var s = 0.0
     var j = 0
-    while (j < attrs.length) { s += Text.jaccard(tokenSets(j), o.tokenSets(j)); j += 1 }
+    while (j < a.length) { s += Text.jaccard(a(j), b(j)); j += 1 }
     s
+  }
+
+  /** `sim(o) > gamma`, stopping once the attributes merged so far plus the
+    * Lemma 4.1 size bounds of the rest cannot exceed `gamma`. The sum runs
+    * in `sim`'s order, so a pair that is not cut short gets `sim`'s value.
+    */
+  def simExceeds(o: Instance, gamma: Double): Boolean = {
+    val a = tokens
+    val b = o.tokens
+    def sizeUB(j: Int): Double = Pruning.ubSimSizeAttr(a(j).length, a(j).length, b(j).length, b(j).length)
+    var rest = 0.0
+    var j    = 0
+    while (j < a.length) { rest += sizeUB(j); j += 1 }
+    var s = 0.0
+    j = 0
+    while (j < a.length) {
+      // 1e-9 absorbs the rounding of the running sums.
+      if (s + rest <= gamma - 1e-9) return false
+      rest -= sizeUB(j)
+      s += Text.jaccard(a(j), b(j))
+      j += 1
+    }
+    s > gamma
   }
 }
 
@@ -57,7 +85,9 @@ final case class ImputedTuple(
   def possibleKeywords(keywords: Set[String]): Set[String] = {
     val b = Set.newBuilder[String]
     attrDists.foreach(_.foreach { case (v, _) =>
-      Text.tokens(v).foreach(t => if (keywords.contains(t)) b += t)
+      val tk = Text.tokens(v)
+      // The keyword's own String, so keyword sets compare by reference.
+      keywords.foreach(k => if (Text.contains(tk, k)) b += k)
     })
     b.result()
   }
@@ -80,17 +110,20 @@ final case class AttrSketch(
   * the set of query keywords some instance may contain.
   */
 final case class TupleSketch(t: ImputedTuple, kw: Set[String], attrs: Vector[AttrSketch]) {
-  def rid: Long = t.rid
-  def sid: Int  = t.sid
+  // Copied out of `t`: the grid traversal reads them for every member.
+  val rid: Long = t.rid
+  val sid: Int  = t.sid
   def ts: Long  = t.ts
-  def d: Int    = t.d
+  val d: Int    = t.d
 
   def hasAnyKeyword(k: Set[String]): Boolean = kw.nonEmpty && k.exists(kw.contains)
 
-  /** lb/ub/E of X = dist(r, piv_a) summed over attributes (Lemma 4.3). */
-  def lbDist(piv: Int): Double = { var s = 0.0; var i = 0; while (i < attrs.length) { s += attrs(i).distLo(piv); i += 1 }; s }
-  def ubDist(piv: Int): Double = { var s = 0.0; var i = 0; while (i < attrs.length) { s += attrs(i).distHi(piv); i += 1 }; s }
-  def eDist(piv: Int): Double  = { var s = 0.0; var i = 0; while (i < attrs.length) { s += attrs(i).distE(piv); i += 1 }; s }
+  /** lb/ub/E of X = dist(r, piv_main) summed over attributes (Lemma 4.3),
+    * summed once: Theorem 4.3 reads them for every pair.
+    */
+  val lbMain: Double = attrs.iterator.map(_.distLo(0)).sum
+  val ubMain: Double = attrs.iterator.map(_.distHi(0)).sum
+  val eMain: Double  = attrs.iterator.map(_.distE(0)).sum
 }
 
 object TupleSketch {
@@ -102,8 +135,8 @@ object TupleSketch {
     */
   def of(t: ImputedTuple, pivots: Pivots, keywords: Set[String]): TupleSketch = {
     val attrs = t.attrDists.indices.map { j =>
-      val pivTok = pivots.tokenSets(j)
-      val nPiv   = pivTok.size
+      val pivTok = pivots.tokens(j)
+      val nPiv   = pivTok.length
       var szMin  = Int.MaxValue
       var szMax  = 0
       val lo     = Array.fill(nPiv)(Double.MaxValue)
@@ -111,8 +144,8 @@ object TupleSketch {
       val e      = Array.fill(nPiv)(0.0)
       t.attrDists(j).foreach { case (v, p) =>
         val tk = Text.tokens(v)
-        szMin = math.min(szMin, tk.size)
-        szMax = math.max(szMax, tk.size)
+        szMin = math.min(szMin, tk.length)
+        szMax = math.max(szMax, tk.length)
         var a = 0
         while (a < nPiv) {
           val dd = Text.jdist(tk, pivTok(a))
@@ -133,10 +166,7 @@ object TupleSketch {
   * pivot for attribute j; the rest are auxiliary pivots.
   */
 final case class Pivots(perAttr: Vector[Vector[String]]) {
-  val tokenSets: Vector[Vector[Set[String]]] = perAttr.map(_.map(Text.tokens))
-  def nPivots(j: Int): Int                   = perAttr(j).size
-  def mainTokens(j: Int): Set[String]        = tokenSets(j).head
-
-  /** Convert a raw attribute value to its main-pivot distance coordinate. */
-  def coord(j: Int, value: String): Double = Text.jdist(Text.tokens(value), mainTokens(j))
+  val tokens: Vector[Array[Array[String]]] = perAttr.map(_.iterator.map(Text.tokens).toArray)
+  def nPivots(j: Int): Int                 = perAttr(j).size
+  def mainTokens(j: Int): Array[String]    = tokens(j)(0)
 }

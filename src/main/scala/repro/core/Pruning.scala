@@ -90,9 +90,7 @@ object Pruning {
 
   /** Theorem 4.3 applied to two sketches via the main pivot (index 0). */
   def probUpperBound(x: TupleSketch, y: TupleSketch, gamma: Double): Double =
-    pzUpperBound(x.d, gamma,
-      x.eDist(0), x.lbDist(0), x.ubDist(0),
-      y.eDist(0), y.lbDist(0), y.ubDist(0))
+    pzUpperBound(x.d, gamma, x.eMain, x.lbMain, x.ubMain, y.eMain, y.lbMain, y.ubMain)
 
   /** How the Theorem 4.1 → 4.4 cascade ended for one tuple pair. The three
     * bound prunes are shared objects, so a pruned pair allocates nothing.
@@ -126,22 +124,25 @@ object Pruning {
     * termination: stop as soon as the accumulated probability exceeds α
     * (sound accept — remaining terms are non-negative) or the optimistic
     * upper bound `acc + (1 - processedMass)` drops to ≤ α (sound reject).
+    * An instance pair's similarity test stops once the Lemma 4.1 size
+    * bounds of its remaining attributes cannot lift it over γ, and the
+    * keyword predicate is evaluated only for the few pairs above γ.
     */
   def refine(x: ImputedTuple, y: ImputedTuple, k: Set[String], gamma: Double, alpha: Double): Refined = {
-    val xi  = x.instances
-    val yi  = y.instances
-    val xkw = xi.map(_.hasKeyword(k))
-    val ykw = yi.map(_.hasKeyword(k))
+    val xi      = x.instances
+    val yi      = y.instances
     val total   = xi.length * yi.length
     var acc     = 0.0
     var mass    = 0.0
     var checked = 0
     var i       = 0
     while (i < xi.length) {
+      val a = xi(i)
       var j = 0
       while (j < yi.length) {
-        val pp = xi(i).p * yi(j).p
-        if ((xkw(i) || ykw(j)) && xi(i).sim(yi(j)) > gamma) acc += pp
+        val b  = yi(j)
+        val pp = a.p * b.p
+        if (a.simExceeds(b, gamma) && (a.hasKeyword(k) || b.hasKeyword(k))) acc += pp
         mass += pp
         checked += 1
         if (acc > alpha) return Refined(matched = true, earlyStopped = checked < total, checked, acc)

@@ -1,47 +1,88 @@
 package repro.core
 
+import java.util.{Arrays, Comparator, Locale}
+
 /** Tokenization and Jaccard similarity/distance over token sets (Eq. 1).
   *
   * Attributes are textual; a token is a maximal run of lowercase
-  * alphanumerics. `J(∅, ∅) = 1` (two empty attribute values are identical),
+  * alphanumerics (lowercased in `Locale.ROOT`, so every host tokenizes
+  * alike). A value's token set is an array of its distinct tokens sorted by
+  * `(String.hashCode, string)`: Jaccard is then a merge intersection, and
+  * the order needs no shared dictionary, so it survives serialization
+  * between JVMs. `J(∅, ∅) = 1` (two empty attribute values are identical),
   * which keeps `dist` a proper metric on the token-set space so the
   * triangle-inequality pruning (Lemmas 4.2/4.3) stays sound.
   */
 object Text {
 
-  /** Token set of an attribute value; `null`/empty → empty set. */
-  def tokens(s: String): Set[String] =
-    if (s == null || s.isEmpty) Set.empty
+  val Empty: Array[String] = Array.empty[String]
+
+  /** The token order: hash first, the string breaks hash ties. */
+  private def compare(x: String, y: String): Int = {
+    val hx = x.hashCode
+    val hy = y.hashCode
+    if (hx != hy) Integer.compare(hx, hy) else x.compareTo(y)
+  }
+
+  private val order: Comparator[String] = (x: String, y: String) => compare(x, y)
+
+  /** Distinct tokens of an attribute value in token order; `null`/empty → empty. */
+  def tokens(s: String): Array[String] =
+    if (s == null || s.isEmpty) Empty
     else {
-      val b   = Set.newBuilder[String]
-      val sb  = new StringBuilder
+      val low = s.toLowerCase(Locale.ROOT)
+      val buf = new Array[String](low.length / 2 + 1)
+      var n   = 0
       var i   = 0
-      val low = s.toLowerCase
+      var st  = -1
       while (i <= low.length) {
         val c = if (i < low.length) low.charAt(i) else ' '
-        if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')) sb.append(c)
-        else if (sb.nonEmpty) { b += sb.result(); sb.clear() }
+        if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')) { if (st < 0) st = i }
+        else if (st >= 0) { buf(n) = low.substring(st, i); n += 1; st = -1 }
         i += 1
       }
-      b.result()
+      Arrays.sort(buf, 0, n, order)
+      var m = 0
+      i = 0
+      while (i < n) {
+        if (m == 0 || buf(i) != buf(m - 1)) { buf(m) = buf(i); m += 1 }
+        i += 1
+      }
+      if (m == 0) Empty else Arrays.copyOf(buf, m)
     }
 
-  /** Jaccard similarity of two token sets. */
-  def jaccard(a: Set[String], b: Set[String]): Double =
-    if (a.isEmpty && b.isEmpty) 1.0
+  /** Does the token array contain `t`? Binary search in token order. */
+  def contains(a: Array[String], t: String): Boolean = {
+    var lo = 0
+    var hi = a.length - 1
+    while (lo <= hi) {
+      val mid = (lo + hi) >>> 1
+      val c   = compare(a(mid), t)
+      if (c < 0) lo = mid + 1 else if (c > 0) hi = mid - 1 else return true
+    }
+    false
+  }
+
+  /** Do two token arrays hold the same tokens? The order is canonical. */
+  def same(a: Array[String], b: Array[String]): Boolean =
+    Arrays.equals(a.asInstanceOf[Array[AnyRef]], b.asInstanceOf[Array[AnyRef]])
+
+  /** Jaccard similarity of two token arrays (merge intersection). */
+  def jaccard(a: Array[String], b: Array[String]): Double =
+    if (a.length == 0 && b.length == 0) 1.0
     else {
-      val inter = if (a.size <= b.size) a.count(b.contains) else b.count(a.contains)
-      inter.toDouble / (a.size + b.size - inter)
+      var inter = 0
+      var i     = 0
+      var j     = 0
+      while (i < a.length && j < b.length) {
+        val c = compare(a(i), b(j))
+        if (c < 0) i += 1
+        else if (c > 0) j += 1
+        else { inter += 1; i += 1; j += 1 }
+      }
+      inter.toDouble / (a.length + b.length - inter)
     }
 
   /** Jaccard distance (1 - similarity); a metric on token sets. */
-  def jdist(a: Set[String], b: Set[String]): Double = 1.0 - jaccard(a, b)
-
-  def jaccardStr(a: String, b: String): Double = jaccard(tokens(a), tokens(b))
-  def jdistStr(a: String, b: String): Double   = jdist(tokens(a), tokens(b))
-
-  /** Canonical space-joined sorted-token rendering, used when handing data
-    * to the DuckDB oracle so both sides tokenize identically.
-    */
-  def canonical(s: String): String = tokens(s).toSeq.sorted.mkString(" ")
+  def jdist(a: Array[String], b: Array[String]): Double = 1.0 - jaccard(a, b)
 }

@@ -32,8 +32,8 @@ object Imputer {
 
   def allSamples(repo: Repo): SampleFinder = (_, _) => repo.rows.indices.iterator
 
-  private def recordTokens(r: Record): Int => Set[String] = {
-    val ts = r.attrs.map(_.map(Text.tokens).getOrElse(Set.empty[String]))
+  private def recordTokens(r: Record): Int => Array[String] = {
+    val ts = r.attrs.map(_.fold(Text.Empty)(Text.tokens))
     j => ts(j)
   }
 

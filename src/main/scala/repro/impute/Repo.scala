@@ -15,13 +15,14 @@ final class Repo(val rows: IndexedSeq[Vector[String]]) extends Serializable {
   require(rows.nonEmpty, "repository must be non-empty")
   val d: Int = rows.head.size
 
-  val tokenRows: IndexedSeq[Vector[Set[String]]] = rows.map(_.map(Text.tokens))
+  /** Per row, per attribute token arrays (`Text.tokens`). */
+  val tokenRows: IndexedSeq[Array[Array[String]]] = rows.map(_.iterator.map(Text.tokens).toArray)
 
   /** Distinct values per attribute, in first-appearance order. */
   val doms: Vector[Vector[String]] =
     (0 until d).map(j => rows.iterator.map(_(j)).distinct.toVector).toVector
 
-  val domTokens: Vector[Vector[Set[String]]] = doms.map(_.map(Text.tokens))
+  val domTokens: Vector[Array[Array[String]]] = doms.map(_.iterator.map(Text.tokens).toArray)
 
   /** Value → domain index per attribute (candidate frequencies are counted
     * in flat arrays over these indices — Eq. 4's multiset, no hashing).

@@ -50,13 +50,8 @@ final class CDDIndex(rules: Seq[Rule], pivots: Pivots, d: Int) extends Serializa
     * on token sets, not just pivot coordinates).
     */
   def select(r: Record, j: Int): Vector[Rule] = {
-    val rTok = r.attrs.map(_.map(Text.tokens).getOrElse(Set.empty[String]))
-    val pt   = Array.tabulate(d) { x =>
-      r.attrs(x) match {
-        case Some(v) => Text.jdist(Text.tokens(v), pivots.mainTokens(x))
-        case None    => -1.0
-      }
-    }
+    val rTok = r.attrs.map(_.fold(Text.Empty)(Text.tokens))
+    val pt   = Array.tabulate(d)(x => if (r.attrs(x).isDefined) Text.jdist(rTok(x), pivots.mainTokens(x)) else -1.0)
     var leaves = 0
     val out    = Vector.newBuilder[Rule]
     groups.getOrElse(j, Vector.empty).foreach { case (_, tree) =>
@@ -64,7 +59,7 @@ final class CDDIndex(rules: Seq[Rule], pivots: Pivots, d: Int) extends Serializa
         keepNode = (mbr, _) => mbr.containsPoint(pt),
         keepEntry = (mbr, rule) =>
           mbr.containsPoint(pt) && rule.applicableTo(r) && rule.det.forall {
-            case (x, v: ValueEq) => rTok(x) == v.tokens
+            case (x, v: ValueEq) => Text.same(rTok(x), v.tokens)
             case _               => true
           },
       )(out += _)

@@ -22,8 +22,8 @@ final class DRIndex(repo: Repo, pivots: Pivots, @unused vocab: Set[String]) exte
 
   val d: Int = repo.d
 
-  private def pivotDists(x: Int, tokens: Set[String]): Array[Double] =
-    Array.tabulate(pivots.nPivots(x))(a => Text.jdist(tokens, pivots.tokenSets(x)(a)))
+  private def pivotDists(x: Int, tokens: Array[String]): Array[Double] =
+    Array.tabulate(pivots.nPivots(x))(a => Text.jdist(tokens, pivots.tokens(x)(a)))
 
   val tree: ARTree[Int, Agg] = {
     val dists = repo.tokenRows.map(row => Array.tabulate(d)(x => pivotDists(x, row(x))))

@@ -9,9 +9,10 @@ import repro.core.{AttrSketch, TupleSketch}
   * cell-level pruning reads (keyword set, per-attr per-pivot distance
   * intervals, token-size intervals).
   *
-  * Cell aggregates are recomputed lazily after mutations (dirty flag): the
-  * sliding window evicts and inserts one tuple per stream per timestamp, so
-  * only the touched cells pay the recompute.
+  * Aggregates are maintained incrementally: an insert folds the new sketch
+  * into a cell's clean aggregate (min, max and union are exact, so the fold
+  * equals a recompute); a remove marks the cell dirty, and a dirty cell is
+  * recomputed from its entries when a traversal next reads it.
   */
 final class ERGrid(val d: Int, val cellsPerDim: Int) {
   import ERGrid._
@@ -26,7 +27,9 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
   private def bucket(x: Double): Int =
     math.max(0, math.min(cellsPerDim - 1, (x * cellsPerDim).toInt))
 
-  /** Flat indices of all cells the sketch's main-pivot box intersects. */
+  /** Flat indices of all cells the sketch's main-pivot box intersects,
+    * ascending.
+    */
   def cellIdsOf(sk: TupleSketch): Vector[Int] = {
     var ids = Vector(0)
     var j   = 0
@@ -42,7 +45,10 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
   def insert(sk: TupleSketch): Unit = {
     val ids = cellIdsOf(sk)
     val e   = Entry(sk, ids.size > 1)
-    ids.foreach { c => cells(c) += e; dirty(c) = true }
+    ids.foreach { c =>
+      cells(c) += e
+      if (!dirty(c)) agg(c) = agg(c).plus(sk)
+    }
     liveCount += 1
   }
 
@@ -57,10 +63,13 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
 
   def size: Int = liveCount
 
-  /** Non-empty cells with up-to-date aggregates, in deterministic order. */
+  /** Non-empty cells with up-to-date aggregates, in ascending flat-id order
+    * (the engine's multi-cell dedup tests an entry in the first cell that
+    * holds it, so the counters depend on this order).
+    */
   def nonEmptyCells: Iterator[(CellAgg, mutable.ArrayBuffer[Entry])] =
     Iterator.range(0, nCells).filter(cells(_).nonEmpty).map { c =>
-      if (dirty(c)) { agg(c) = CellAgg.of(cells(c).map(_.sk), d); dirty(c) = false }
+      if (dirty(c)) { agg(c) = CellAgg.of(cells(c).view.map(_.sk), d); dirty(c) = false }
       (agg(c), cells(c))
     }
 }
@@ -68,10 +77,15 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
 object ERGrid {
 
   /** A grid entry; `multiCell` marks tuples whose interval box spans more
-    * than one cell (only those need visited-set deduplication — point
+    * than one cell (only those need deduplication in a traversal — point
     * tuples live in exactly one cell).
     */
-  final case class Entry(sk: TupleSketch, multiCell: Boolean)
+  final case class Entry(sk: TupleSketch, multiCell: Boolean) {
+    private var lastVisit = -1L
+
+    /** Marks the entry as tested by traversal `t`; false if it already was. */
+    def visit(t: Long): Boolean = lastVisit != t && { lastVisit = t; true }
+  }
 
   /** Cell aggregates of §5.2: union keyword set, per-attr per-pivot distance
     * intervals minimally bounding all member tuples, and size intervals.
@@ -90,35 +104,53 @@ object ERGrid {
       */
     val attrs: Vector[AttrSketch] =
       Vector.tabulate(lo.length)(j => AttrSketch(sizeMin(j), sizeMax(j), lo(j), hi(j), null))
+
+    /** This aggregate with one more member. */
+    def plus(sk: TupleSketch): CellAgg = {
+      val acc = new Acc(kw, lo.map(_.clone), hi.map(_.clone), sizeMin.clone, sizeMax.clone)
+      acc.add(sk)
+      acc.result
+    }
   }
 
   object CellAgg {
+    /** The aggregate of a non-empty member list, computed from scratch. */
     def of(members: Iterable[TupleSketch], d: Int): CellAgg = {
-      val head = members.head
-      val nPiv = Array.tabulate(d)(j => head.attrs(j).distLo.size)
-      val lo   = Array.tabulate(d)(j => Array.fill(nPiv(j))(Double.MaxValue))
-      val hi   = Array.tabulate(d)(j => Array.fill(nPiv(j))(0.0))
-      val sMin = Array.fill(d)(Int.MaxValue)
-      val sMax = Array.fill(d)(0)
-      var kw   = Set.empty[String]
-      members.foreach { sk =>
-        kw ++= sk.kw
-        var j = 0
-        while (j < d) {
-          val a = sk.attrs(j)
-          if (a.sizeMin < sMin(j)) sMin(j) = a.sizeMin
-          if (a.sizeMax > sMax(j)) sMax(j) = a.sizeMax
-          var p = 0
-          val n = math.min(nPiv(j), a.distLo.size)
-          while (p < n) {
-            if (a.distLo(p) < lo(j)(p)) lo(j)(p) = a.distLo(p)
-            if (a.distHi(p) > hi(j)(p)) hi(j)(p) = a.distHi(p)
-            p += 1
-          }
-          j += 1
-        }
-      }
-      CellAgg(kw, lo, hi, sMin, sMax)
+      val it   = members.iterator
+      val head = it.next()
+      val acc = new Acc(Set.empty,
+        Array.tabulate(d)(j => Array.fill(head.attrs(j).distLo.length)(Double.MaxValue)),
+        Array.tabulate(d)(j => Array.fill(head.attrs(j).distLo.length)(0.0)),
+        Array.fill(d)(Int.MaxValue), Array.fill(d)(0))
+      acc.add(head)
+      while (it.hasNext) acc.add(it.next())
+      acc.result
     }
+  }
+
+  /** Running min/max/union over members; owns its arrays. */
+  private final class Acc(var kw: Set[String], lo: Array[Array[Double]], hi: Array[Array[Double]],
+                          sMin: Array[Int], sMax: Array[Int]) {
+    def add(sk: TupleSketch): Unit = {
+      if (sk.kw.nonEmpty && !sk.kw.subsetOf(kw)) kw ++= sk.kw
+      var j = 0
+      while (j < lo.length) {
+        val a = sk.attrs(j)
+        if (a.sizeMin < sMin(j)) sMin(j) = a.sizeMin
+        if (a.sizeMax > sMax(j)) sMax(j) = a.sizeMax
+        val l = lo(j)
+        val h = hi(j)
+        val n = math.min(l.length, a.distLo.length)
+        var p = 0
+        while (p < n) {
+          if (a.distLo(p) < l(p)) l(p) = a.distLo(p)
+          if (a.distHi(p) > h(p)) h(p) = a.distHi(p)
+          p += 1
+        }
+        j += 1
+      }
+    }
+
+    def result: CellAgg = CellAgg(kw, lo, hi, sMin, sMax)
   }
 }

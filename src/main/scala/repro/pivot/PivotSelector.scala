@@ -26,7 +26,7 @@ object PivotSelector {
   )
 
   /** Shannon entropy of the distance histogram of one pivot (Eq. 5). */
-  def entropy(pivTokens: Set[String], values: IndexedSeq[Set[String]], buckets: Int): Double = {
+  def entropy(pivTokens: Array[String], values: IndexedSeq[Array[String]], buckets: Int): Double = {
     val counts = new Array[Int](buckets)
     values.foreach { v =>
       val d = Text.jdist(v, pivTokens)
@@ -37,7 +37,7 @@ object PivotSelector {
   }
 
   /** Joint entropy of the bucket-vector histogram of several pivots. */
-  def jointEntropy(pivs: Seq[Set[String]], values: IndexedSeq[Set[String]], buckets: Int): Double = {
+  def jointEntropy(pivs: Seq[Array[String]], values: IndexedSeq[Array[String]], buckets: Int): Double = {
     val counts = mutable.HashMap.empty[Seq[Int], Int]
     values.foreach { v =>
       val key = pivs.map(p => math.min(buckets - 1, (Text.jdist(v, p) * buckets).toInt))
@@ -60,9 +60,9 @@ object PivotSelector {
     val rnd    = new Random(cfg.seed + j)
     val dom    = repo.doms(j)
     val domTok = repo.domTokens(j)
-    val sample: IndexedSeq[Set[String]] =
-      if (domTok.size <= cfg.sampleVals) domTok
-      else rnd.shuffle(domTok.indices.toVector).take(cfg.sampleVals).map(domTok)
+    val sample: IndexedSeq[Array[String]] =
+      if (domTok.length <= cfg.sampleVals) domTok.toIndexedSeq
+      else rnd.shuffle(domTok.indices.toVector).take(cfg.sampleVals).map(domTok(_))
     val candIdx =
       if (dom.size <= cfg.candLimit) dom.indices.toVector
       else rnd.shuffle(dom.indices.toVector).take(cfg.candLimit)
@@ -78,7 +78,7 @@ object PivotSelector {
       if (remaining.isEmpty) h = cfg.eMin
       else {
         val best = remaining
-          .map(i => (i, jointEntropy((chosen :+ i).map(domTok), sample, cfg.buckets)))
+          .map(i => (i, jointEntropy((chosen :+ i).map(domTok(_)), sample, cfg.buckets)))
           .sortBy { case (i, hh) => (-hh, dom(i)) }
           .head
         chosen = chosen :+ best._1

@@ -30,7 +30,7 @@ class OracleSpec extends SparkSpec {
   private def sideDF(rows: Seq[Record]): DataFrame = {
     import spark.implicits._
     rows.map { r =>
-      val v = r.attrs.map(a => Text.canonical(a.get))
+      val v = r.attrs.map(a => TextRef.canonical(a.get))
       (r.rid, r.ts, v(0), v(1), v(2), v(3))
     }.toDF("rid", "ts", "a0", "a1", "a2", "a3")
   }
@@ -82,11 +82,11 @@ class OracleSpec extends SparkSpec {
   test("Scala Jaccard equals DuckDB Jaccard on random token strings") {
     val rnd = new scala.util.Random(41)
     val vals = (1 to 60).map { i =>
-      (i.toLong, Text.canonical(Seq.fill(1 + rnd.nextInt(6))(s"t${rnd.nextInt(8)}").mkString(" ")))
+      (i.toLong, TextRef.canonical(Seq.fill(1 + rnd.nextInt(6))(s"t${rnd.nextInt(8)}").mkString(" ")))
     }
     import spark.implicits._
     val pairs = for ((i1, v1) <- vals; (i2, v2) <- vals if i1 < i2)
-      yield (i1, i2, BigDecimal(Text.jaccardStr(v1, v2)).setScale(6, BigDecimal.RoundingMode.HALF_UP).toDouble)
+      yield (i1, i2, BigDecimal(TextRef.jaccardStr(v1, v2)).setScale(6, BigDecimal.RoundingMode.HALF_UP).toDouble)
     val df  = pairs.toDF("i", "j", "jac")
     val sql =
       s"""SELECT x.i::BIGINT AS i, y.i::BIGINT AS j, round(${jac("x.v", "y.v")}, 6) AS jac

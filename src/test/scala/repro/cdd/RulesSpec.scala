@@ -5,7 +5,7 @@ import repro.core.{Record, Text}
 
 class RulesSpec extends AnyFunSuite {
 
-  private def tok(ss: String*): Int => Set[String] = {
+  private def tok(ss: String*): Int => Array[String] = {
     val v = ss.map(Text.tokens).toVector
     i => v(i)
   }

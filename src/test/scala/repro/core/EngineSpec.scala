@@ -52,15 +52,36 @@ class EngineSpec extends AnyFunSuite {
     }
   }
 
+  private def found(method: Method, kw: Set[String]): Set[(Long, Long)] =
+    Draw(cfg.profile, cfg.eta, cfg.xi, cfg.m, cfg.alpha, cfg.rho, 40, kw, Vector(200, 200, 0), 99L, 1).run(method)
+
   test("keywords outside the topic vocabulary or in upper case prune soundly (Thm 4.1)") {
-    def found(method: Method, kw: Set[String]): Set[(Long, Long)] =
-      Draw(cfg.profile, cfg.eta, cfg.xi, cfg.m, cfg.alpha, cfg.rho, 40, kw, Vector(200, 200, 0), 99L, 1).run(method)
     Seq(Set("w1t0"), Set("TOPIC0")).foreach { kw =>
       assert(found(TERiDS, kw) == found(CddEr, kw), s"keywords $kw")
     }
     assert(found(TERiDS, Set("w1t0")).nonEmpty)
     assert(found(TERiDS, Set("TOPIC0")) == found(TERiDS, Set("topic0")))
     assert(found(TERiDS, Set("topic0")).nonEmpty)
+  }
+
+  test("upper-case keywords find the same pairs under a Turkish default locale") {
+    val saved = java.util.Locale.getDefault
+    java.util.Locale.setDefault(java.util.Locale.forLanguageTag("tr"))
+    try {
+      val upper = found(TERiDS, Set("TOPIC0"))
+      assert(upper.nonEmpty && upper == found(TERiDS, Set("topic0")))
+    } finally java.util.Locale.setDefault(saved)
+  }
+
+  test("TER-iDS pruning counters on a fixed config (Fig. 4)") {
+    // Pinned values: a performance change must not move any pruning counter.
+    def counters(s: RunStats): Seq[Long] = Seq(s.steps, s.pairsTotal, s.prunedKeyword, s.prunedSimUB,
+      s.prunedProbUB, s.prunedInstancePair, s.refinedFull, s.matchedPairs, s.instancePairsChecked)
+    assert(counters(results(TERiDS).stats) == Seq(260L, 47860L, 40404L, 267L, 0L, 479L, 6687L, 23L, 7196L))
+    // Half the tuples miss two values, so some span several grid cells and
+    // the multi-cell dedup is exercised.
+    val uncertain = Harness.run(TERiDS, cfg.copy(xi = 0.5, m = 2)).stats
+    assert(counters(uncertain) == Seq(260L, 47860L, 41604L, 469L, 0L, 1681L, 4091L, 15L, 7013L))
   }
 
   test("naive engines never report pruning") {

@@ -75,9 +75,9 @@ class ModelSpec extends AnyFunSuite {
     val t = ImputedTuple(1, 0, 0,
       Vector(Vector(("p", 1.0)), Vector(("u v", 1.0))), Vector.empty)
     val sk = TupleSketch.of(t, pivots, Set.empty)
-    assert(math.abs(sk.lbDist(0) - (sk.attrs(0).distLo(0) + sk.attrs(1).distLo(0))) < 1e-12)
-    assert(math.abs(sk.ubDist(0) - (sk.attrs(0).distHi(0) + sk.attrs(1).distHi(0))) < 1e-12)
-    assert(math.abs(sk.eDist(0) - (sk.attrs(0).distE(0) + sk.attrs(1).distE(0))) < 1e-12)
+    assert(math.abs(sk.lbMain - (sk.attrs(0).distLo(0) + sk.attrs(1).distLo(0))) < 1e-12)
+    assert(math.abs(sk.ubMain - (sk.attrs(0).distHi(0) + sk.attrs(1).distHi(0))) < 1e-12)
+    assert(math.abs(sk.eMain - (sk.attrs(0).distE(0) + sk.attrs(1).distE(0))) < 1e-12)
   }
 
   test("TupleSketch: keyword set collects topic-vocabulary tokens") {
@@ -90,7 +90,7 @@ class ModelSpec extends AnyFunSuite {
   }
 
   test("Pivots: coord is the main-pivot Jaccard distance") {
-    assert(pivots.coord(0, "p q r") == 0.0)
-    assert(pivots.coord(0, "none of these") == 1.0)
+    assert(TextRef.coord(pivots, 0, "p q r") == 0.0)
+    assert(TextRef.coord(pivots, 0, "none of these") == 1.0)
   }
 }

@@ -37,7 +37,7 @@ class PruningSpec extends AnyFunSuite {
       val a  = Set.fill(1 + rnd.nextInt(6))(s"t${rnd.nextInt(9)}")
       val b  = Set.fill(1 + rnd.nextInt(6))(s"t${rnd.nextInt(9)}")
       val ub = Pruning.ubSimSizeAttr(a.size, a.size, b.size, b.size)
-      assert(Text.jaccard(a, b) <= ub + 1e-12)
+      assert(Text.jaccard(TextRef.arr(a), TextRef.arr(b)) <= ub + 1e-12)
     }
   }
 

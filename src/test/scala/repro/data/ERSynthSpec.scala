@@ -1,7 +1,7 @@
 package repro.data
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Text
+import repro.core.{Text, TextRef}
 
 class ERSynthSpec extends AnyFunSuite {
 
@@ -60,7 +60,7 @@ class ERSynthSpec extends AnyFunSuite {
     assert(ERSynth.repoAt(base, 0.1).size < r3.size)
     // Consecutive rows pair up same entities: many near-duplicate pairs.
     val nearDup = (0 until r3.size - 1 by 2).count { i =>
-      Text.jaccardStr(r3.rows(i)(0), r3.rows(i + 1)(0)) > 0.5
+      TextRef.jaccardStr(r3.rows(i)(0), r3.rows(i + 1)(0)) > 0.5
     }
     assert(nearDup > r3.size / 4, s"nearDup=$nearDup")
   }
@@ -79,7 +79,7 @@ class ERSynthSpec extends AnyFunSuite {
       assert(ra < rb)
       val (ia, ib) = if (ra % 2 == 0) ((ra / 2).toInt, (rb / 2).toInt) else ((rb / 2).toInt, (ra / 2).toInt)
       assert(math.abs(ia - ib) < 200)
-      val sim = (0 until 4).map(k => Text.jaccardStr(base.trueA(ia)(k), base.trueB(ib)(k))).sum
+      val sim = (0 until 4).map(k => TextRef.jaccardStr(base.trueA(ia)(k), base.trueB(ib)(k))).sum
       assert(sim > 2.0)
       val topical = base.trueA(ia).exists(v => Text.tokens(v).exists(kws.contains)) ||
         base.trueB(ib).exists(v => Text.tokens(v).exists(kws.contains))

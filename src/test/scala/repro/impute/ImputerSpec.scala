@@ -2,7 +2,7 @@ package repro.impute
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cdd.{DistRange, Rule, ValueEq}
-import repro.core.{Record, Text}
+import repro.core.{Record, TextRef}
 
 /** Eq. (3)/(4) semantics, mirroring the structure of the paper's Examples
   * 3–4 on a textual repository.
@@ -68,7 +68,7 @@ class ImputerSpec extends AnyFunSuite {
     val s1 = Imputer.missSentinel(1, 0)
     val s2 = Imputer.missSentinel(2, 0)
     assert(s1 != s2)
-    assert(Text.jaccardStr(s1, s2) == 0.0)
+    assert(TextRef.jaccardStr(s1, s2) == 0.0)
   }
 
   test("probabilities sum to ≤ 1 and are sorted by (-p, value)") {

@@ -29,7 +29,7 @@ class RepoSpec extends AnyFunSuite {
   }
 
   test("tokenRows tokenize every cell") {
-    assert(repo.tokenRows(1)(0) == Set("a", "b", "c"))
+    assert(repo.tokenRows(1)(0).toSet == Set("a", "b", "c"))
   }
 
   test("candidates returns exactly the domain values in the distance interval") {

@@ -30,7 +30,7 @@ class IndexesSpec extends AnyFunSuite {
       r.missing.foreach { j =>
         val linear = rules.filter(rule => rule.dep == j && rule.applicableTo(r) &&
           rule.det.forall {
-            case (x, v: repro.cdd.ValueEq) => repro.core.Text.tokens(r.attrs(x).get) == v.tokens
+            case (x, v: repro.cdd.ValueEq) => repro.core.Text.same(repro.core.Text.tokens(r.attrs(x).get), v.tokens)
             case _                         => true
           })
         val indexed = cddIdx.select(r, j)
@@ -60,7 +60,7 @@ class IndexesSpec extends AnyFunSuite {
     recs.foreach { r =>
       val j = r.missing.head
       rules.filter(rule => rule.dep == j && rule.applicableTo(r)).take(6).foreach { rule =>
-        val rTok = (x: Int) => r.attrs(x).map(repro.core.Text.tokens).getOrElse(Set.empty[String])
+        val rTok = (x: Int) => r.attrs(x).fold(repro.core.Text.Empty)(repro.core.Text.tokens)
         val satisfying = repo.rows.indices.filter { si =>
           rule.satisfiedBy(rTok, x => repo.tokenRows(si)(x))
         }.toSet

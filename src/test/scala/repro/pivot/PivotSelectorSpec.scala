@@ -7,32 +7,34 @@ import repro.impute.Repo
 
 class PivotSelectorSpec extends AnyFunSuite {
 
+  private def tk(ss: String*): Array[String] = Text.tokens(ss.mkString(" "))
+
   private lazy val repo = new Repo(ERSynth.generate(ERSynth.Citations).repoPool.take(200))
 
   test("entropy of a uniform histogram approaches log(P)") {
     // Values at distances filling all buckets evenly is impossible with sets;
     // instead verify monotonicity: constant distances → entropy 0.
-    val vals = Vector.fill(50)(Set("a", "b"))
-    assert(PivotSelector.entropy(Set("zz"), vals, 10) == 0.0) // all dist 1 → one bucket
+    val vals = Vector.fill(50)(tk("a", "b"))
+    assert(PivotSelector.entropy(tk("zz"), vals, 10) == 0.0) // all dist 1 → one bucket
   }
 
   test("entropy is higher for spread distances than for constant ones") {
-    val spread   = Vector(Set("p"), Set("p", "q"), Set("p", "q", "r"), Set("x"), Set("p", "x"))
-    val constant = Vector.fill(5)(Set("x"))
-    val piv      = Set("p", "q")
+    val spread   = Vector(tk("p"), tk("p", "q"), tk("p", "q", "r"), tk("x"), tk("p", "x"))
+    val constant = Vector.fill(5)(tk("x"))
+    val piv      = tk("p", "q")
     assert(PivotSelector.entropy(piv, spread, 10) > PivotSelector.entropy(piv, constant, 10))
   }
 
   test("jointEntropy of k identical pivots equals single entropy") {
-    val vals = Vector(Set("p"), Set("q"), Set("p", "q"), Set("z"))
-    val piv  = Set("p")
+    val vals = Vector(tk("p"), tk("q"), tk("p", "q"), tk("z"))
+    val piv  = tk("p")
     val h1   = PivotSelector.entropy(piv, vals, 10)
     val h2   = PivotSelector.jointEntropy(Seq(piv, piv), vals, 10)
     assert(math.abs(h1 - h2) < 1e-12)
   }
 
   test("jointEntropy never decreases when adding a pivot") {
-    val vals = repo.domTokens(0).take(80)
+    val vals = repo.domTokens(0).take(80).toIndexedSeq
     val p1   = repo.domTokens(0).head
     val p2   = repo.domTokens(0)(1)
     assert(PivotSelector.jointEntropy(Seq(p1, p2), vals, 10) >=
@@ -57,8 +59,8 @@ class PivotSelectorSpec extends AnyFunSuite {
     val cfg  = PivotSelector.Config(candLimit = 10, sampleVals = 100)
     val main = PivotSelector.selectForAttr(repo, 0, cfg).head
     // A deliberately terrible pivot (distance 1 to everything) scores lower.
-    val badH  = PivotSelector.entropy(Set("nonexistenttoken"), repo.domTokens(0).take(100), cfg.buckets)
-    val mainH = PivotSelector.entropy(Text.tokens(main), repo.domTokens(0).take(100), cfg.buckets)
+    val badH  = PivotSelector.entropy(tk("nonexistenttoken"), repo.domTokens(0).take(100).toIndexedSeq, cfg.buckets)
+    val mainH = PivotSelector.entropy(Text.tokens(main), repo.domTokens(0).take(100).toIndexedSeq, cfg.buckets)
     assert(mainH >= badH)
   }
 
