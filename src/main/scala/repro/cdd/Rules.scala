@@ -36,8 +36,16 @@ final case class Rule(dep: Int, det: Map[Int, Constraint], depLo: Double, depHi:
   def satisfiedBy(rTokens: Int => Array[String], sTokens: Int => Array[String]): Boolean =
     det.forall {
       case (x, DistRange(lo, hi)) =>
-        val dd = Text.jdist(rTokens(x), sTokens(x))
-        dd >= lo - 1e-12 && dd <= hi + 1e-12
+        val a = rTokens(x)
+        val b = sTokens(x)
+        // Lemma 4.1: 1 − min/max token count bounds the distance from below
+        // (and rounds no higher than the distance), so a pair it puts above
+        // `hi` skips the merge.
+        val big = math.max(a.length, b.length)
+        (big == 0 || 1.0 - math.min(a.length, b.length).toDouble / big <= hi + 1e-9) && {
+          val dd = Text.jdist(a, b)
+          dd >= lo - 1e-12 && dd <= hi + 1e-12
+        }
       case (x, v: ValueEq) =>
         Text.same(rTokens(x), v.tokens) && Text.same(sTokens(x), v.tokens)
     }

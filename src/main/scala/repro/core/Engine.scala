@@ -32,6 +32,8 @@ final class RunStats {
   var refinedFull: Long          = 0
   var matchedPairs: Long         = 0
   var instancePairsChecked: Long = 0
+  /** ER-grid cells recomputed from their members (`ERGrid.recomputes`). */
+  var gridRecomputes: Long       = 0
   var cddSelectNanos: Long       = 0
   var imputeNanos: Long          = 0
   var erNanos: Long              = 0
@@ -196,6 +198,7 @@ final class Engine(
             i += 1
           }
         }
+        stats.gridRecomputes = g.recomputes
       case _ =>
         windows.valuesIterator.flatten.foreach { case (_, c) =>
           if (c.sid != q.sid) tupleLevel(c)

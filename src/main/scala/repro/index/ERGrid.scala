@@ -9,20 +9,28 @@ import repro.core.{AttrSketch, TupleSketch}
   * cell-level pruning reads (keyword set, per-attr per-pivot distance
   * intervals, token-size intervals).
   *
-  * Aggregates are maintained incrementally: an insert folds the new sketch
-  * into a cell's clean aggregate (min, max and union are exact, so the fold
-  * equals a recompute); a remove marks the cell dirty, and a dirty cell is
-  * recomputed from its entries when a traversal next reads it.
+  * Only non-empty cells exist: they sit in a map ordered by flat id, so
+  * neither memory nor a traversal grows with `cellsPerDim^d`.
+  *
+  * Aggregates are maintained incrementally and exactly. Every bound keeps
+  * the number of members that attain it, and every keyword the number of
+  * members that may contain it. An insert folds the sketch in (min, max
+  * and union are exact, so the fold equals a recompute). A remove
+  * decrements the counts the sketch attains: a keyword whose count reaches
+  * zero leaves the keyword set, and only a distance or size bound that
+  * loses its last attaining member makes the cell recompute from its
+  * members, when a traversal next reads it.
   */
 final class ERGrid(val d: Int, val cellsPerDim: Int) {
   import ERGrid._
 
-  private val nCells = math.pow(cellsPerDim, d).toInt
-  private val cells: Array[mutable.ArrayBuffer[Entry]] =
-    Array.fill(nCells)(mutable.ArrayBuffer.empty[Entry])
-  private val agg: Array[CellAgg]   = Array.fill(nCells)(null)
-  private val dirty: Array[Boolean] = Array.fill(nCells)(true)
-  private var liveCount             = 0
+  require(d >= 1 && cellsPerDim >= 1, s"bad grid shape d=$d cellsPerDim=$cellsPerDim")
+  require(BigInt(cellsPerDim).pow(d) <= Long.MaxValue,
+    s"$cellsPerDim^$d cells overflow the Long flat cell ids")
+
+  private val cells     = mutable.TreeMap.empty[Long, Cell]
+  private var liveCount = 0
+  private var rebuilt   = 0L
 
   private def bucket(x: Double): Int =
     math.max(0, math.min(cellsPerDim - 1, (x * cellsPerDim).toInt))
@@ -30,8 +38,8 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
   /** Flat indices of all cells the sketch's main-pivot box intersects,
     * ascending.
     */
-  def cellIdsOf(sk: TupleSketch): Vector[Int] = {
-    var ids = Vector(0)
+  def cellIdsOf(sk: TupleSketch): Vector[Long] = {
+    var ids = Vector(0L)
     var j   = 0
     while (j < d) {
       val loB = bucket(sk.attrs(j).distLo(0))
@@ -45,33 +53,156 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
   def insert(sk: TupleSketch): Unit = {
     val ids = cellIdsOf(sk)
     val e   = Entry(sk, ids.size > 1)
-    ids.foreach { c =>
-      cells(c) += e
-      if (!dirty(c)) agg(c) = agg(c).plus(sk)
-    }
+    ids.foreach(c => cells.getOrElseUpdate(c, new Cell).add(e))
     liveCount += 1
   }
 
   def remove(sk: TupleSketch): Unit = {
     cellIdsOf(sk).foreach { c =>
-      val buf = cells(c)
-      val i   = buf.indexWhere(e => e.sk.rid == sk.rid && e.sk.sid == sk.sid)
-      if (i >= 0) { buf.remove(i); dirty(c) = true }
+      cells.get(c).foreach { cell =>
+        if (cell.remove(sk) && cell.entries.isEmpty) cells.remove(c)
+      }
     }
     liveCount -= 1
   }
 
   def size: Int = liveCount
 
+  /** Cells recomputed from their members so far: one per cell read after a
+    * bound lost its last attaining member.
+    */
+  def recomputes: Long = rebuilt
+
   /** Non-empty cells with up-to-date aggregates, in ascending flat-id order
     * (the engine's multi-cell dedup tests an entry in the first cell that
     * holds it, so the counters depend on this order).
     */
   def nonEmptyCells: Iterator[(CellAgg, mutable.ArrayBuffer[Entry])] =
-    Iterator.range(0, nCells).filter(cells(_).nonEmpty).map { c =>
-      if (dirty(c)) { agg(c) = CellAgg.of(cells(c).view.map(_.sk), d); dirty(c) = false }
-      (agg(c), cells(c))
+    cells.valuesIterator.map(c => (c.aggregate, c.entries))
+
+  /** One cell: its entries, the running bounds with the number of members
+    * attaining each, per-keyword member counts, and the last published
+    * aggregate (null once a bound or the keyword set changes).
+    */
+  private final class Cell {
+    val entries = mutable.ArrayBuffer.empty[Entry]
+
+    private var lo: Array[Array[Double]] = _
+    private var hi: Array[Array[Double]] = _
+    private var loN: Array[Array[Int]]   = _
+    private var hiN: Array[Array[Int]]   = _
+    private var sMin: Array[Int]         = _
+    private var sMax: Array[Int]         = _
+    private var sMinN: Array[Int]        = _
+    private var sMaxN: Array[Int]        = _
+    private val kwN                      = mutable.HashMap.empty[String, Int]
+    private var kw                       = Set.empty[String]
+
+    /** The bounds and counts describe `entries`; false once a bound lost
+      * its last attaining member.
+      */
+    private var exact = false
+    private var agg: CellAgg = _
+
+    def add(e: Entry): Unit = {
+      entries += e
+      if (exact) fold(e.sk)
+      else if (entries.length == 1) rebuild()
     }
+
+    /** Removes the entry of `sk`'s tuple; false if the cell does not hold it. */
+    def remove(sk: TupleSketch): Boolean = {
+      val i = entries.indexWhere(e => e.sk.rid == sk.rid && e.sk.sid == sk.sid)
+      if (i < 0) return false
+      entries.remove(i)
+      if (exact && entries.nonEmpty) unfold(sk)
+      true
+    }
+
+    def aggregate: CellAgg = {
+      if (!exact) { rebuild(); rebuilt += 1 }
+      if (agg == null) agg = CellAgg(kw, lo.map(_.clone), hi.map(_.clone), sMin.clone, sMax.clone)
+      agg
+    }
+
+    /** Bounds and counts from the members, in `CellAgg.of`'s order. */
+    private def rebuild(): Unit = {
+      val head = entries(0).sk
+      lo = Array.tabulate(d)(j => Array.fill(head.attrs(j).distLo.length)(Double.MaxValue))
+      hi = Array.tabulate(d)(j => Array.fill(head.attrs(j).distLo.length)(0.0))
+      loN = lo.map(l => new Array[Int](l.length))
+      hiN = hi.map(h => new Array[Int](h.length))
+      sMin = Array.fill(d)(Int.MaxValue)
+      sMax = new Array[Int](d)
+      sMinN = new Array[Int](d)
+      sMaxN = new Array[Int](d)
+      kwN.clear()
+      kw = Set.empty
+      exact = true
+      var i = 0
+      while (i < entries.length) { fold(entries(i).sk); i += 1 }
+      agg = null
+    }
+
+    private def fold(sk: TupleSketch): Unit = {
+      sk.kw.foreach { k =>
+        val n = kwN.getOrElse(k, 0)
+        if (n == 0) { kw += k; agg = null }
+        kwN(k) = n + 1
+      }
+      var j = 0
+      while (j < d) {
+        val a = sk.attrs(j)
+        if (a.sizeMin < sMin(j)) { sMin(j) = a.sizeMin; sMinN(j) = 1; agg = null }
+        else if (a.sizeMin == sMin(j)) sMinN(j) += 1
+        if (a.sizeMax > sMax(j)) { sMax(j) = a.sizeMax; sMaxN(j) = 1; agg = null }
+        else if (a.sizeMax == sMax(j)) sMaxN(j) += 1
+        val l = lo(j)
+        val h = hi(j)
+        val n = math.min(l.length, a.distLo.length)
+        var p = 0
+        while (p < n) {
+          if (a.distLo(p) < l(p)) { l(p) = a.distLo(p); loN(j)(p) = 1; agg = null }
+          else if (a.distLo(p) == l(p)) loN(j)(p) += 1
+          if (a.distHi(p) > h(p)) { h(p) = a.distHi(p); hiN(j)(p) = 1; agg = null }
+          else if (a.distHi(p) == h(p)) hiN(j)(p) += 1
+          p += 1
+        }
+        j += 1
+      }
+    }
+
+    /** Takes a removed member's counts out; a bound left without an
+      * attaining member marks the cell for a recompute.
+      */
+    private def unfold(sk: TupleSketch): Unit = {
+      sk.kw.foreach { k =>
+        val n = kwN(k) - 1
+        if (n == 0) { kwN.remove(k); kw -= k; agg = null }
+        else kwN(k) = n
+      }
+      var lost = false
+      def drop(counts: Array[Int], i: Int): Unit = {
+        counts(i) -= 1
+        if (counts(i) == 0) lost = true
+      }
+      var j = 0
+      while (j < d) {
+        val a = sk.attrs(j)
+        if (a.sizeMin == sMin(j)) drop(sMinN, j)
+        if (a.sizeMax == sMax(j)) drop(sMaxN, j)
+        val n = math.min(lo(j).length, a.distLo.length)
+        var p = 0
+        while (p < n) {
+          if (a.distLo(p) == lo(j)(p)) drop(loN(j), p)
+          if (a.distHi(p) == hi(j)(p)) drop(hiN(j), p)
+          p += 1
+        }
+        j += 1
+      }
+      if (lost) { exact = false; agg = null }
+    }
+  }
 }
 
 object ERGrid {
@@ -104,13 +235,6 @@ object ERGrid {
       */
     val attrs: Vector[AttrSketch] =
       Vector.tabulate(lo.length)(j => AttrSketch(sizeMin(j), sizeMax(j), lo(j), hi(j), null))
-
-    /** This aggregate with one more member. */
-    def plus(sk: TupleSketch): CellAgg = {
-      val acc = new Acc(kw, lo.map(_.clone), hi.map(_.clone), sizeMin.clone, sizeMax.clone)
-      acc.add(sk)
-      acc.result
-    }
   }
 
   object CellAgg {
@@ -118,39 +242,31 @@ object ERGrid {
     def of(members: Iterable[TupleSketch], d: Int): CellAgg = {
       val it   = members.iterator
       val head = it.next()
-      val acc = new Acc(Set.empty,
-        Array.tabulate(d)(j => Array.fill(head.attrs(j).distLo.length)(Double.MaxValue)),
-        Array.tabulate(d)(j => Array.fill(head.attrs(j).distLo.length)(0.0)),
-        Array.fill(d)(Int.MaxValue), Array.fill(d)(0))
-      acc.add(head)
-      while (it.hasNext) acc.add(it.next())
-      acc.result
-    }
-  }
-
-  /** Running min/max/union over members; owns its arrays. */
-  private final class Acc(var kw: Set[String], lo: Array[Array[Double]], hi: Array[Array[Double]],
-                          sMin: Array[Int], sMax: Array[Int]) {
-    def add(sk: TupleSketch): Unit = {
-      if (sk.kw.nonEmpty && !sk.kw.subsetOf(kw)) kw ++= sk.kw
-      var j = 0
-      while (j < lo.length) {
-        val a = sk.attrs(j)
-        if (a.sizeMin < sMin(j)) sMin(j) = a.sizeMin
-        if (a.sizeMax > sMax(j)) sMax(j) = a.sizeMax
-        val l = lo(j)
-        val h = hi(j)
-        val n = math.min(l.length, a.distLo.length)
-        var p = 0
-        while (p < n) {
-          if (a.distLo(p) < l(p)) l(p) = a.distLo(p)
-          if (a.distHi(p) > h(p)) h(p) = a.distHi(p)
-          p += 1
+      var kw   = Set.empty[String]
+      val lo   = Array.tabulate(d)(j => Array.fill(head.attrs(j).distLo.length)(Double.MaxValue))
+      val hi   = Array.tabulate(d)(j => Array.fill(head.attrs(j).distLo.length)(0.0))
+      val sMin = Array.fill(d)(Int.MaxValue)
+      val sMax = new Array[Int](d)
+      def add(sk: TupleSketch): Unit = {
+        if (sk.kw.nonEmpty && !sk.kw.subsetOf(kw)) kw ++= sk.kw
+        var j = 0
+        while (j < d) {
+          val a = sk.attrs(j)
+          if (a.sizeMin < sMin(j)) sMin(j) = a.sizeMin
+          if (a.sizeMax > sMax(j)) sMax(j) = a.sizeMax
+          val n = math.min(lo(j).length, a.distLo.length)
+          var p = 0
+          while (p < n) {
+            if (a.distLo(p) < lo(j)(p)) lo(j)(p) = a.distLo(p)
+            if (a.distHi(p) > hi(j)(p)) hi(j)(p) = a.distHi(p)
+            p += 1
+          }
+          j += 1
         }
-        j += 1
       }
+      add(head)
+      while (it.hasNext) add(it.next())
+      CellAgg(kw, lo, hi, sMin, sMax)
     }
-
-    def result: CellAgg = CellAgg(kw, lo, hi, sMin, sMax)
   }
 }

@@ -82,6 +82,12 @@ class EngineSpec extends AnyFunSuite {
     // the multi-cell dedup is exercised.
     val uncertain = Harness.run(TERiDS, cfg.copy(xi = 0.5, m = 2)).stats
     assert(counters(uncertain) == Seq(260L, 47860L, 41604L, 469L, 0L, 1681L, 4091L, 15L, 7013L))
+    // Evictions that keep every cell bound attained leave the cell aggregate
+    // exact; only a few cells are recomputed from their members.
+    val evictions = 2L * (cfg.maxSteps - cfg.w)
+    Seq(results(TERiDS).stats, uncertain).foreach { s =>
+      assert(s.gridRecomputes * 10 < evictions, s"${s.gridRecomputes} recomputes for $evictions evictions")
+    }
   }
 
   test("naive engines never report pruning") {

@@ -108,9 +108,6 @@ class ERGridSpec extends AnyFunSuite {
   }
 
   test("incremental aggregates equal a recompute after random inserts and removes") {
-    def same(a: ERGrid.CellAgg, b: ERGrid.CellAgg): Boolean =
-      a.kw == b.kw && a.sizeMin.sameElements(b.sizeMin) && a.sizeMax.sameElements(b.sizeMax) &&
-        a.lo.indices.forall(j => a.lo(j).sameElements(b.lo(j)) && a.hi(j).sameElements(b.hi(j)))
     (1 to 20).foreach { seed =>
       val rnd  = new Random(seed)
       val g    = new ERGrid(d, 3)
@@ -131,6 +128,118 @@ class ERGridSpec extends AnyFunSuite {
         }
       }
     }
+  }
+
+  private def same(a: ERGrid.CellAgg, b: ERGrid.CellAgg): Boolean =
+    a.kw == b.kw && a.sizeMin.sameElements(b.sizeMin) && a.sizeMax.sameElements(b.sizeMax) &&
+      a.lo.indices.forall(j => a.lo(j).sameElements(b.lo(j)) && a.hi(j).sameElements(b.hi(j)))
+
+  private def assertExact(g: ERGrid, live: Iterable[TupleSketch], clue: String): Unit = {
+    var incidences = 0
+    val seen       = collection.mutable.Set.empty[(Long, Int)]
+    g.nonEmptyCells.foreach { case (agg, members) =>
+      assert(members.nonEmpty, clue)
+      assert(same(agg, ERGrid.CellAgg.of(members.map(_.sk), d)), clue)
+      incidences += members.size
+      members.foreach(e => seen += ((e.sk.rid, e.sk.sid)))
+    }
+    assert(seen == live.map(sk => (sk.rid, sk.sid)).toSet, clue)
+    assert(incidences == live.iterator.map(g.cellIdsOf(_).size).sum, clue)
+  }
+
+  test("incremental aggregates stay exact over long unread sequences with tied bounds") {
+    // Few distinct values, so many members tie on every bound; cells are
+    // read only now and then, so removes and inserts pile up between reads.
+    val values = Vector("p0 p1", "p0", "p1 zz", "topic0 p0", "topic1 zz yy", "zz", "")
+    (1 to 20).foreach { seed =>
+      val rnd  = new Random(seed)
+      val g    = new ERGrid(d, 2)
+      val live = collection.mutable.ArrayBuffer.empty[TupleSketch]
+      (1 to 400).foreach { i =>
+        val r = rnd.nextInt(10)
+        if (live.nonEmpty && r < 2) g.remove(live.remove(rnd.nextInt(live.size)))
+        else if (live.nonEmpty && r < 4) {
+          // Remove an extreme: the member with the lowest distance (or the
+          // largest size) on attribute 0, tied with others or not.
+          val byLo = rnd.nextBoolean()
+          val k = live.indices.minBy { m =>
+            val a = live(m).attrs(0)
+            if (byLo) a.distLo(0) else -a.sizeMax.toDouble
+          }
+          g.remove(live.remove(k))
+        } else {
+          val n  = 1 + rnd.nextInt(2)
+          val vs = Vector.fill(n)(values(rnd.nextInt(values.size))).distinct.map(v => (v, 1.0 / n))
+          val sk = sketch(i, i % 2, i, Vector(vs, Vector((values(rnd.nextInt(values.size)), 1.0))))
+          // A duplicate of the new tuple under another rid ties every bound.
+          val dup = if (rnd.nextInt(4) == 0) Some(sketch(100000 + i, i % 2, i, sk.t.attrDists)) else None
+          (sk +: dup.toSeq).foreach { s => g.insert(s); live += s }
+        }
+        if (rnd.nextInt(25) == 0) assertExact(g, live, s"seed $seed step $i")
+      }
+      assertExact(g, live, s"seed $seed end")
+      assert(g.size == live.size)
+    }
+  }
+
+  test("a bound attained by two members survives removing one without a recompute") {
+    val g = new ERGrid(d, 1) // one cell holds every tuple
+    val a = certain(1, 0, "topic0 q", "q0")
+    val b = certain(2, 1, "topic1 q", "q0") // ties `a` on every bound, other keyword
+    val c = certain(3, 0, "p0 p1", "q0 q1 extra")
+    Seq(a, b, c).foreach(g.insert)
+    assertExact(g, Seq(a, b, c), "all three")
+    g.remove(a)
+    assertExact(g, Seq(b, c), "without a")
+    assert(g.nonEmptyCells.next()._1.kw == Set("topic1"))
+    assert(g.recomputes == 0)
+    g.remove(c) // c alone attains the minimum distance and the largest size
+    assertExact(g, Seq(b), "without c")
+    assert(g.recomputes == 1)
+  }
+
+  test("an emptied cell leaves the traversal") {
+    val g = new ERGrid(d, 4)
+    val a = certain(1, 0, "p0 p1", "q0 q1")
+    val b = certain(2, 1, "zz", "yy")
+    g.insert(a)
+    g.insert(b)
+    assert(g.nonEmptyCells.size == 2)
+    g.remove(a)
+    val left = g.nonEmptyCells.toVector
+    assert(left.size == 1 && left.head._2.map(_.sk.rid) == Seq(2L))
+  }
+
+  test("traversal visits cells in ascending flat-id order") {
+    // Main-pivot distances 0, 1/3, 1/2, 2/3, 1 land in buckets 0, 6, 10, 13
+    // and 19 of 20, so flat ids spread over 0–399.
+    val a0  = Vector("p0 p1", "p0 p1 x", "p0", "p0 x", "zz")
+    val a1  = Vector("q0 q1", "q0 q1 x", "q0", "q0 x", "zz")
+    val rnd = new Random(3)
+    val g   = new ERGrid(d, 20)
+    (1 to 40).foreach(i => g.insert(certain(i, i % 2, a0(rnd.nextInt(5)), a1(rnd.nextInt(5)))))
+    val ids = g.nonEmptyCells.map { case (_, members) => g.cellIdsOf(members.head.sk).head }.toVector
+    assert(ids.size > 12 && ids == ids.sorted && ids.distinct == ids)
+  }
+
+  test("a 12-dimensional grid holds only the cells it uses") {
+    val dims = 12
+    val piv  = Pivots(Vector.fill(dims)(Vector("p0 p1")))
+    def sk12(rid: Long, vs: Vector[Vector[(String, Double)]]): TupleSketch =
+      TupleSketch.of(ImputedTuple(rid, 0, rid, vs, Imputer.assembleInstances(vs)), piv, vocab)
+    val g = new ERGrid(dims, 5) // 5^12 = 244M cells if they were allocated
+    val point  = sk12(1, Vector.fill(dims)(Vector(("p0 p1", 1.0))))
+    val spread = sk12(2, Vector.fill(dims - 1)(Vector(("p0", 1.0))) :+ Vector(("p0 p1", 0.5), ("zz", 0.5)))
+    g.insert(point)
+    g.insert(spread)
+    val ids = (g.cellIdsOf(point) ++ g.cellIdsOf(spread)).distinct
+    assert(ids.size == 6)
+    assert(g.nonEmptyCells.size == ids.size)
+    g.remove(spread)
+    assert(g.nonEmptyCells.size == 1)
+    new ERGrid(27, 5) // 5^27 < 2^63
+    val e = intercept[IllegalArgumentException](new ERGrid(28, 5))
+    assert(e.getMessage.contains("overflow"))
   }
 
   test("bucket boundaries: distance 1.0 lands in the last cell") {
