@@ -1,6 +1,6 @@
 package repro.impute
 
-import repro.cdd.{Rule, ValueEq}
+import repro.cdd.Rule
 import repro.core.{ImputedTuple, Instance, Record, Text}
 import repro.index.{CDDIndex, DRIndex}
 
@@ -41,14 +41,18 @@ object Imputer {
     * `cached = false` recomputes every `cand(s[A_j])` domain scan — the
     * straightforward method's behavior (the memo table is part of our
     * index/synopsis infrastructure, withheld from the naive baselines).
+    * `samplesChecked` receives the number of `Rule.satisfiedBy` calls.
     */
   def valueDistribution(r: Record, j: Int, rules: Seq[Rule], repo: Repo,
-                        finder: SampleFinder, cached: Boolean = true): Vector[(String, Double)] = {
+                        finder: SampleFinder, cached: Boolean = true,
+                        samplesChecked: Long => Unit = _ => ()): Vector[(String, Double)] = {
     val rTok = recordTokens(r)
     val freq = new Array[Long](repo.doms(j).size) // Eq. 4 multiset over dom(A_j)
+    var checked = 0L
     rules.iterator.filter(rule => rule.dep == j && rule.applicableTo(r)).foreach { rule =>
       finder(rule, r).foreach { si =>
         val sTok = repo.tokenRows(si)
+        checked += 1
         if (rule.satisfiedBy(rTok, x => sTok(x))) {
           if (rule.depHi <= 1e-12) {
             // Editing-rule semantics: copy the sample's dependent value.
@@ -63,6 +67,7 @@ object Imputer {
         }
       }
     }
+    samplesChecked(checked)
     normalize(freq, repo, r.rid, j)
   }
 
@@ -109,31 +114,25 @@ object Imputer {
 
   /** Rule-based imputation of a record (Alg. 2), shared by `Engine` and
     * `SparkTER`: rule selection (CDD-index if given, else a linear filter,
-    * timed into `selectNanos`), sample retrieval (the DR-index if given for
-    * constant-constrained rules, else the scan), then Eq. 4 distributions
-    * (`cached` as in [[valueDistribution]]) and the capped instances.
+    * timed into `selectNanos`), sample retrieval (the DR-index if given,
+    * else the scan), then Eq. 4 distributions (`cached` and
+    * `samplesChecked` as in [[valueDistribution]]) and the capped instances.
     */
   def impute(r: Record, rules: Seq[Rule], repo: Repo,
              cddIndex: Option[CDDIndex] = None, drIndex: Option[DRIndex] = None,
-             cached: Boolean = true, selectNanos: Long => Unit = _ => ()): ImputedTuple = {
+             cached: Boolean = true, selectNanos: Long => Unit = _ => (),
+             samplesChecked: Long => Unit = _ => ()): ImputedTuple = {
     if (r.isComplete) return imputeComplete(r)
     val t0 = System.nanoTime()
     val selected = r.missing.map { j =>
       j -> cddIndex.fold(rules.filter(rule => rule.dep == j && rule.applicableTo(r)))(_.select(r, j))
     }.toMap
     selectNanos(System.nanoTime() - t0)
-    // Constant constraints are DR-index point queries; wide ranges scan.
-    val scan = allSamples(repo)
-    val finder: SampleFinder = drIndex match {
-      case Some(idx) =>
-        val ixf = idx.finderFor(r)
-        (rule, rec) => if (rule.det.valuesIterator.exists(_.isInstanceOf[ValueEq])) ixf(rule, rec) else scan(rule, rec)
-      case None => scan
-    }
+    val finder = drIndex.fold(allSamples(repo))(_.finderFor(r))
     val dists = r.attrs.indices.map { j =>
       r.attrs(j) match {
         case Some(v) => Vector((v, 1.0))
-        case None    => valueDistribution(r, j, selected(j), repo, finder, cached)
+        case None    => valueDistribution(r, j, selected(j), repo, finder, cached, samplesChecked)
       }
     }.toVector
     ImputedTuple(r.rid, r.sid, r.ts, dists, assembleInstances(dists))

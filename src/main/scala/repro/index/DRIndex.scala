@@ -1,81 +1,117 @@
 package repro.index
 
 import scala.annotation.unused
-import repro.cdd.{DistRange, Rule, ValueEq}
+import scala.collection.mutable
+import repro.cdd.{Constraint, DistRange, Rule, ValueEq}
 import repro.core.{Pivots, Record, Text}
 import repro.impute.Repo
 
-/** DR-index `I_R` (§5.1, Fig. 3): an aR-tree over the repository, each
-  * sample converted to a d-dimensional point of main-pivot Jaccard
-  * distances. Node aggregates carry per-attribute distance intervals to
-  * every pivot (main + auxiliary), the only aggregate sample retrieval
-  * reads.
+/** DR-index `I_R` (§5.1, Alg. 2): finds the repository samples that may
+  * satisfy a rule's determinant constraints with respect to a record, by
+  * exact Jaccard range search over per-attribute inverted token lists.
   *
-  * `finderFor(r)` returns candidate sample indices for imputation using
-  * triangle-inequality node pruning; candidates may contain false positives
-  * (the imputer re-verifies) but never miss a satisfying sample.
+  *  - `DistRange(lo, hi)` on attribute x: a sample within distance `hi` has
+  *    Jaccard similarity at least `t = 1 − hi`, so it shares at least
+  *    `⌈t·|r|⌉` of the record's `|r|` tokens and holds between `t·|r|` and
+  *    `|r|/t` tokens. It therefore holds one of any `|r| − ⌈t·|r|⌉ + 1` of
+  *    the record's tokens: the lookup probes that many, rarest first (the
+  *    prefix filter of All-Pairs/PPJoin), and keeps the probed samples that
+  *    pass the size filter. `t ≤ 0` admits every sample; an empty `r[x]`
+  *    admits only samples whose value has no tokens (`J(∅,∅) = 1`).
+  *  - `ValueEq(v)`: nothing unless the record holds `v`'s tokens, else the
+  *    samples holding `v`'s rarest token (or the empty-value samples).
   *
-  * `vocab` is unused: keyword presence is computed from the query keywords.
+  * Candidates may contain false positives (the imputer verifies each with
+  * `Rule.satisfiedBy`) but never miss a satisfying sample.
+  *
+  * `pivots` and `vocab` are unused: the lookups read only tokens.
   */
-final class DRIndex(repo: Repo, pivots: Pivots, @unused vocab: Set[String]) extends Serializable {
+final class DRIndex(repo: Repo, @unused pivots: Pivots, @unused vocab: Set[String]) extends Serializable {
   import DRIndex._
 
   val d: Int = repo.d
 
-  private def pivotDists(x: Int, tokens: Array[String]): Array[Double] =
-    Array.tabulate(pivots.nPivots(x))(a => Text.jdist(tokens, pivots.tokens(x)(a)))
-
-  val tree: ARTree[Int, Agg] = {
-    val dists = repo.tokenRows.map(row => Array.tabulate(d)(x => pivotDists(x, row(x))))
-    ARTree.build(d, dists.indices.map(i => (MBR.point(dists(i).map(_(0))), i)))(
-      i => Agg(dists(i), dists(i)), mergeAgg)
+  /** Per attribute: token → ascending ids of the samples holding it. */
+  private val lists: Array[Map[String, Array[Int]]] = Array.tabulate(d) { x =>
+    val acc = mutable.HashMap.empty[String, mutable.ArrayBuilder.ofInt]
+    repo.tokenRows.indices.foreach { i =>
+      repo.tokenRows(i)(x).foreach(t => acc.getOrElseUpdate(t, new mutable.ArrayBuilder.ofInt) += i)
+    }
+    acc.view.mapValues(_.result()).toMap
   }
 
-  /** Leaf-visit count of the last query (complexity counter of §5.1). */
-  @volatile var lastLeavesVisited: Int = 0
+  /** Per attribute: ascending ids of the samples whose value has no tokens. */
+  private val emptyLists: Array[Array[Int]] =
+    Array.tabulate(d)(x => repo.tokenRows.indices.filter(i => repo.tokenRows(i)(x).isEmpty).toArray)
 
-  /** Pivot distances of constant constraints are static per rule — memoize. */
-  private val eqCache = new java.util.concurrent.ConcurrentHashMap[(Int, String), Array[Double]]()
+  /** Per attribute: each sample's token count, for the size filter. */
+  private val sizes: Array[Array[Int]] = Array.tabulate(d)(x => repo.tokenRows.map(_(x).length).toArray)
 
-  /** Imputation sample finder for one record: prune nodes that cannot
-    * contain any sample satisfying the rule's determinant constraints w.r.t.
-    * the record. Its per-attribute pivot distances are computed once, shared
-    * by every rule application.
+  private def list(x: Int, t: String): Array[Int] = lists(x).getOrElse(t, NoSamples)
+
+  /** Samples within Jaccard distance `hi` of `rt` on attribute x, or `null`
+    * when the bound filters nothing.
+    */
+  private def withinDist(x: Int, rt: Array[String], hi: Double): Array[Int] = {
+    val t = 1.0 - hi - Margin
+    if (t <= 0.0) null
+    else if (rt.isEmpty) emptyLists(x)
+    else {
+      val n      = rt.length
+      val prefix = n - math.ceil(t * n).toInt + 1
+      val rarest = rt.sortBy(list(x, _).length) // stable: ties keep token order
+      val minS   = t * n
+      val maxS   = n / t
+      val sz     = sizes(x)
+      val hit    = new java.util.BitSet(repo.size)
+      var p      = 0
+      while (p < prefix) {
+        val ids = list(x, rarest(p))
+        var k   = 0
+        while (k < ids.length) {
+          val s = ids(k)
+          if (sz(s) >= minS && sz(s) <= maxS) hit.set(s)
+          k += 1
+        }
+        p += 1
+      }
+      hit.stream().toArray
+    }
+  }
+
+  private def withValue(x: Int, rt: Array[String], v: ValueEq): Array[Int] =
+    if (!Text.same(rt, v.tokens)) NoSamples
+    else if (v.tokens.isEmpty) emptyLists(x)
+    else v.tokens.iterator.map(list(x, _)).minBy(_.length)
+
+  /** Imputation sample finder for one record. A rule's candidates are the
+    * shortest list among its determinants'; `DistRange` lists are memoized
+    * per (attribute, `hi`), which the mined rules share.
     */
   def finderFor(r0: Record): repro.impute.Imputer.SampleFinder = {
-    val recDists = Array.tabulate(d)(x => r0.attrs(x).map(v => pivotDists(x, Text.tokens(v))).orNull)
+    val rTok = Array.tabulate(d)(x => r0.attrs(x).fold(Text.Empty)(Text.tokens))
+    val memo = mutable.HashMap.empty[(Int, Double), Array[Int]]
+    def candidates(x: Int, c: Constraint): Array[Int] = c match {
+      case DistRange(_, hi) => memo.getOrElseUpdate((x, hi), withinDist(x, rTok(x), hi))
+      case v: ValueEq       => withValue(x, rTok(x), v)
+    }
     (rule: Rule, _: Record) => {
-      // Determinant x admits samples s with lo ≤ dist(r[x], s[x]) ≤ hi; a
-      // constant v admits dist(v, s[x]) = 0.
-      val checks = rule.det.toSeq.map {
-        case (x, DistRange(lo, hi)) => (x, lo, hi, recDists(x))
-        case (x, v: ValueEq)        => (x, 0.0, 0.0, eqCache.computeIfAbsent((x, v.v), _ => pivotDists(x, v.tokens)))
+      var best: Array[Int] = null
+      rule.det.foreach { case (x, c) =>
+        val ids = candidates(x, c)
+        if (ids != null && (best == null || ids.length < best.length)) best = ids
       }
-      val out = Vector.newBuilder[Int]
-      lastLeavesVisited = tree.search(
-        // Triangle inequality: every pivot a has dist(s, piv_a) within hi of
-        // pd(a), and the farthest reachable distance pd(a) + dist(s, piv_a)
-        // must reach lo.
-        keepNode = (_, agg) => checks.forall { case (x, lo, hi, pd) =>
-          (0 until pd.length).forall { a =>
-            agg.hi(x)(a) >= pd(a) - hi - 1e-9 && agg.lo(x)(a) <= pd(a) + hi + 1e-9 && pd(a) + agg.hi(x)(a) >= lo - 1e-9
-          }
-        },
-        keepEntry = (_, _) => true,
-      )(out += _)
-      out.result().iterator
+      if (best == null) Iterator.range(0, repo.size) else best.iterator
     }
   }
 }
 
 object DRIndex {
-  /** Node aggregate: per-attr per-pivot distance intervals (index 0 = main
-    * pivot, equal to the node's MBR).
+  /** Lowers `t = 1 − hi` so that rounding in `Text.jdist` (and the 1e-12
+    * slack of `Rule.satisfiedBy`) can never put a satisfying sample outside
+    * the prefix or size filter.
     */
-  final case class Agg(lo: Array[Array[Double]], hi: Array[Array[Double]])
+  val Margin = 1e-9
 
-  def mergeAgg(a: Agg, b: Agg): Agg = Agg(
-    Array.tabulate(a.lo.length)(x => Array.tabulate(a.lo(x).length)(p => math.min(a.lo(x)(p), b.lo(x)(p)))),
-    Array.tabulate(a.hi.length)(x => Array.tabulate(a.hi(x).length)(p => math.max(a.hi(x)(p), b.hi(x)(p)))),
-  )
+  private val NoSamples = Array.emptyIntArray
 }

@@ -109,6 +109,17 @@ class EngineSpec extends AnyFunSuite {
     assert(results(ConEr).stats.cddSelectNanos == 0) // con+ER never selects rules
   }
 
+  test("past the DR-index cutover TER-iDS verifies far fewer samples than Ij+GER, with the same pairs") {
+    val songs = ExpConfig(ERSynth.Songs, eta = 0.5, xi = 0.5, w = 60, maxSteps = 120)
+    assert(Harness.repo(songs.profile, songs.eta).size >= Engine.DrIndexMinRepo)
+    val ter = Harness.run(TERiDS, songs)
+    val ij  = Harness.run(IjGer, songs)
+    assert(ter.found == ij.found)
+    assert(ter.stats.imputeSamplesChecked > 0 &&
+      ter.stats.imputeSamplesChecked * 10 < ij.stats.imputeSamplesChecked,
+      s"TER-iDS ${ter.stats.imputeSamplesChecked} vs Ij+GER ${ij.stats.imputeSamplesChecked} samples checked")
+  }
+
   test("window size never exceeds w") {
     val eng = Harness.engineFor(TERiDS, cfg)
     val b   = Harness.base(cfg.profile)

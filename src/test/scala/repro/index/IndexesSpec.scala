@@ -2,7 +2,7 @@ package repro.index
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
-import repro.cdd.{Rule, RuleMiner}
+import repro.cdd.{RuleMiner, ValueEq}
 import repro.core.{Pivots, Record}
 import repro.data.ERSynth
 import repro.impute.{Imputer, Repo}
@@ -72,30 +72,43 @@ class IndexesSpec extends AnyFunSuite {
   }
 
   test("DR-index-assisted imputation equals linear-scan imputation") {
-    val recs = randomRecords(60, xi = 0.7, m = 1).filter(_.missing.nonEmpty)
-    recs.foreach { r =>
-      val linear  = Imputer.impute(r, rules, repo)
-      val indexed = Imputer.impute(r, rules, repo, drIndex = Some(drIdx))
-      assert(linear.attrDists == indexed.attrDists, s"rid=${r.rid}")
-      assert(linear.instances == indexed.instances)
+    for (m <- Seq(1, 2)) {
+      val recs = randomRecords(60, xi = 0.7, m = m).filter(_.missing.nonEmpty)
+      recs.foreach { r =>
+        val linear  = Imputer.impute(r, rules, repo)
+        val indexed = Imputer.impute(r, rules, repo, drIndex = Some(drIdx))
+        val both    = Imputer.impute(r, rules, repo, Some(cddIdx), Some(drIdx))
+        assert(linear.attrDists == indexed.attrDists, s"m=$m rid=${r.rid}")
+        assert(linear.instances == indexed.instances)
+        assert(linear.attrDists == both.attrDists, s"CDD-index path, m=$m rid=${r.rid}")
+        assert(linear.instances == both.instances)
+      }
     }
   }
 
-  test("DR-index prunes at least some leaves for constant-constrained rules") {
-    val constRules = rules.filter(_.det.values.exists(_.isInstanceOf[repro.cdd.ValueEq]))
-    assert(constRules.nonEmpty)
-    val recs  = randomRecords(200, xi = 1.0, m = 1).filter(_.missing.nonEmpty)
-    var total = 0
-    var visited = 0
-    recs.foreach { r =>
+  test("DR-index returns fewer than |R| candidates for DistRange and ValueEq rules") {
+    val recs = randomRecords(200, xi = 1.0, m = 1).filter(_.missing.nonEmpty)
+    def candidateCounts(constant: Boolean): Seq[Int] = recs.flatMap { r =>
       val j = r.missing.head
-      constRules.filter(rule => rule.dep == j && rule.applicableTo(r)).take(3).foreach { rule =>
-        drIdx.finderFor(r)(rule, r).size
-        val full = drIdx.tree.search((_, _) => true, (_, _) => true)(_ => ())
-        total += full
-        visited += drIdx.lastLeavesVisited
-      }
+      rules.filter(rule => rule.dep == j && rule.applicableTo(r) &&
+        rule.det.values.exists(_.isInstanceOf[ValueEq]) == constant).map(rule => drIdx.finderFor(r)(rule, r).size)
     }
-    assert(total > 0 && visited < total, s"visited=$visited of $total leaves — no pruning at all")
+    Seq(false, true).foreach { constant =>
+      val counts = candidateCounts(constant)
+      assert(counts.nonEmpty, s"no applications (constant=$constant)")
+      assert(counts.forall(_ < repo.size), s"constant=$constant: ${counts.max} of ${repo.size}")
+    }
+  }
+
+  test("the DR-index verifies far fewer samples than the scan, with identical distributions") {
+    val recs = randomRecords(100, xi = 0.8, m = 2).filter(_.missing.nonEmpty)
+    var scanned = 0L
+    var indexed = 0L
+    recs.foreach { r =>
+      val linear = Imputer.impute(r, rules, repo, samplesChecked = scanned += _)
+      val viaIdx = Imputer.impute(r, rules, repo, drIndex = Some(drIdx), samplesChecked = indexed += _)
+      assert(linear.attrDists == viaIdx.attrDists, s"rid=${r.rid}")
+    }
+    assert(scanned > 0 && indexed * 10 < scanned, s"index $indexed vs scan $scanned samples checked")
   }
 }
