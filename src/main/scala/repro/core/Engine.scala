@@ -3,6 +3,7 @@ package repro.core
 import scala.annotation.unused
 import scala.collection.mutable
 import repro.cdd.Rule
+import repro.eval.{IjGer, Method, TERiDS}
 import repro.impute.{Imputer, Repo}
 import repro.index.{CDDIndex, DRIndex, ERGrid}
 
@@ -53,15 +54,10 @@ final class RunStats {
   }
 }
 
-/** The TER-iDS engine (Algorithms 1–2) and, via feature flags, every
-  * baseline of §6.1:
-  *
-  *  - TER-iDS    = CDD-index + DR-index + ER-grid + all prunings (index join)
-  *  - I_j + G_ER = CDD-index + linear repository scan + ER-grid + prunings
-  *  - CDD + ER   = linear rule scan + linear repository + naive ER
-  *  - DD + ER    = DD rules, otherwise naive
-  *  - er + ER    = editing rules, otherwise naive
-  *  - con + ER   = window-based imputation (no repository), naive ER
+/** The TER-iDS engine (Algorithms 1–2), configured as one of the six §6.1
+  * methods (`repro.eval.Method`): TER-iDS and I_j + G_ER use the CDD-index,
+  * the ER-grid, every prune and the neighbor memo, TER-iDS also the
+  * DR-index; the naive baselines scan rules, repository and windows.
   *
   * `step(arrivals)` advances one timestamp: evicts expired tuples from each
   * stream's count-based window (Def. 2), imputes each arrival, finds its
@@ -72,26 +68,37 @@ final class Engine(
     rules: Seq[Rule],
     repoOpt: Option[Repo],
     pivots: Pivots,
-    @unused vocab: Set[String], // keyword presence comes from params.keywordTokens
     val params: Params,
-    useCddIndex: Boolean,
-    useDrIndex: Boolean,
-    useGrid: Boolean,
-    usePruning: Boolean,
-    imputeKind: ImputeKind,
+    val method: Method,
 ) {
+  /** TER-iDS by its old flag set, which the benchmark still passes by name
+    * (ROADMAP item 6 removes it). Any other flag set is rejected.
+    */
+  def this(d: Int, rules: Seq[Rule], repoOpt: Option[Repo], pivots: Pivots, @unused vocab: Set[String],
+           params: Params, useCddIndex: Boolean, useDrIndex: Boolean, useGrid: Boolean, usePruning: Boolean,
+           imputeKind: ImputeKind) =
+    this(d, rules, repoOpt, pivots, params, {
+      require(useCddIndex && useDrIndex && useGrid && usePruning && imputeKind == UseCDD,
+        "only the TER-iDS flag set is supported; pass a Method")
+      TERiDS
+    })
+
+  private val imputeKind = method.imputeKind
   require(imputeKind == UseCon || repoOpt.isDefined, "rule-based imputation needs a repository")
+
+  /** The CDD-index, ER-grid, prunes and neighbor memo of the index join. */
+  private val indexed = method == TERiDS || method == IjGer
 
   val stats = new RunStats
 
   private val keywords = params.keywordTokens
 
   private val cddIndex: Option[CDDIndex] =
-    if (useCddIndex) Some(new CDDIndex(rules, pivots, d)) else None
+    if (indexed) Some(new CDDIndex(rules, pivots, d)) else None
   private val drIndex: Option[DRIndex] =
-    if (useDrIndex) repoOpt.flatMap(Engine.drIndexFor(_, pivots)) else None
+    if (method == TERiDS) repoOpt.flatMap(Engine.drIndexFor) else None
   private val grid: Option[ERGrid] =
-    if (useGrid) Some(new ERGrid(d, Engine.CellsPerDim)) else None
+    if (indexed) Some(new ERGrid(d, Engine.CellsPerDim)) else None
 
   private val addSelectNanos: Long => Unit    = stats.cddSelectNanos += _
   private val addSamplesChecked: Long => Unit = stats.imputeSamplesChecked += _
@@ -143,7 +150,7 @@ final class Engine(
     if (imputeKind != UseCon)
       // The neighbor memo table belongs to the index infrastructure; naive
       // baselines rescan the domain like the straightforward method (§2.3).
-      Imputer.impute(r, rules, repoOpt.get, cddIndex, drIndex, cached = usePruning, addSelectNanos, addSamplesChecked)
+      Imputer.impute(r, rules, repoOpt.get, cddIndex, drIndex, cached = indexed, addSelectNanos, addSamplesChecked)
     else if (r.isComplete) Imputer.imputeComplete(r)
     else {
       val complete = windows.get(r.sid).iterator.flatten
@@ -162,7 +169,7 @@ final class Engine(
     // One outcome per evaluated pair, so the counters partition pairsTotal.
     def tupleLevel(c: TupleSketch): Unit = {
       stats.pairsTotal += 1
-      if (!usePruning) {
+      if (!indexed) {
         val (pr, checked) = Pruning.prExact(q.t, c.t, k, gamma)
         stats.instancePairsChecked += checked
         if (pr > alpha) addMatch(q.rid, c.rid) else stats.refinedFull += 1
@@ -179,7 +186,7 @@ final class Engine(
     }
 
     grid match {
-      case Some(g) if usePruning =>
+      case Some(g) =>
         // Only tuples spanning several cells need dedup; point tuples
         // (complete on every attribute) live in exactly one cell.
         traversals += 1
@@ -202,7 +209,7 @@ final class Engine(
           }
         }
         stats.gridRecomputes = g.recomputes
-      case _ =>
+      case None =>
         windows.valuesIterator.flatten.foreach { case (_, c) =>
           if (c.sid != q.sid) tupleLevel(c)
         }
@@ -257,6 +264,7 @@ object Engine {
   /** The DR-index the index join queries for `repo`, if it is large enough
     * for the index to pay.
     */
-  def drIndexFor(repo: Repo, pivots: Pivots): Option[DRIndex] =
-    if (repo.size >= DrIndexMinRepo) Some(new DRIndex(repo, pivots, Set.empty)) else None
+  def drIndexFor(repo: Repo): Option[DRIndex] =
+    // The DR-index reads no pivots or vocabulary.
+    if (repo.size >= DrIndexMinRepo) Some(new DRIndex(repo, Pivots(Vector.empty), Set.empty)) else None
 }

@@ -25,14 +25,22 @@ object DefaultParams {
   val ms     = Seq(1, 2, 3)
 }
 
-/** The six compared methods of §6.1. */
-sealed abstract class Method(val name: String)
-case object TERiDS extends Method("TER-iDS")
-case object IjGer  extends Method("Ij+GER")
-case object CddEr  extends Method("CDD+ER")
-case object DdEr   extends Method("DD+ER")
-case object ErEr   extends Method("er+ER")
-case object ConEr  extends Method("con+ER")
+/** The six compared methods of §6.1, each an `Engine` configuration:
+  *
+  *  - TER-iDS    = CDD-index + DR-index + ER-grid + all prunings (index join)
+  *  - I_j + G_ER = CDD-index + linear repository scan + ER-grid + prunings
+  *  - CDD + ER   = linear rule scan + linear repository + naive ER
+  *  - DD + ER    = DD rules, otherwise naive
+  *  - er + ER    = editing rules, otherwise naive
+  *  - con + ER   = window-based imputation (no repository), naive ER
+  */
+sealed abstract class Method(val name: String, val imputeKind: ImputeKind)
+case object TERiDS extends Method("TER-iDS", UseCDD)
+case object IjGer  extends Method("Ij+GER", UseCDD)
+case object CddEr  extends Method("CDD+ER", UseCDD)
+case object DdEr   extends Method("DD+ER", UseDD)
+case object ErEr   extends Method("er+ER", UseEdit)
+case object ConEr  extends Method("con+ER", UseCon)
 
 object Method {
   val all: Seq[Method]           = Seq(TERiDS, IjGer, CddEr, DdEr, ErEr, ConEr)
@@ -100,26 +108,12 @@ object Harness {
   }
 
   def engineFor(method: Method, cfg: ExpConfig): Engine = {
-    val b      = base(cfg.profile)
-    val params = Params(ERSynth.defaultKeywords(b), cfg.gamma, cfg.alpha, cfg.w)
-    val piv    = pivots(cfg.profile, cfg.eta)
-    val vocab  = b.topicVocab
-    def mk(kind: ImputeKind, cddIdx: Boolean, drIdx: Boolean, grid: Boolean, prune: Boolean) = {
-      // Fresh Repo per engine: the neighbor memo table starts cold for every
-      // method, so no method inherits a warm cache from an earlier run.
-      val r = if (kind == UseCon) None
-              else Some(new repro.impute.Repo(repo(cfg.profile, cfg.eta).rows))
-      new Engine(b.profile.d, rules(cfg.profile, cfg.eta, kind), r, piv, vocab, params,
-        cddIdx, drIdx, grid, prune, kind)
-    }
-    method match {
-      case TERiDS => mk(UseCDD, cddIdx = true, drIdx = true, grid = true, prune = true)
-      case IjGer  => mk(UseCDD, cddIdx = true, drIdx = false, grid = true, prune = true)
-      case CddEr  => mk(UseCDD, cddIdx = false, drIdx = false, grid = false, prune = false)
-      case DdEr   => mk(UseDD, cddIdx = false, drIdx = false, grid = false, prune = false)
-      case ErEr   => mk(UseEdit, cddIdx = false, drIdx = false, grid = false, prune = false)
-      case ConEr  => mk(UseCon, cddIdx = false, drIdx = false, grid = false, prune = false)
-    }
+    val b = base(cfg.profile)
+    // Fresh Repo per engine: the neighbor memo table starts cold for every
+    // method, so no method inherits a warm cache from an earlier run.
+    val r = if (method == ConEr) None else Some(new Repo(repo(cfg.profile, cfg.eta).rows))
+    new Engine(b.profile.d, rules(cfg.profile, cfg.eta, method.imputeKind), r, pivots(cfg.profile, cfg.eta),
+      Params(ERSynth.defaultKeywords(b), cfg.gamma, cfg.alpha, cfg.w), method)
   }
 
   /** Run one method at one grid point; deterministic in cfg. */

@@ -1,79 +1,67 @@
 package repro.index
 
-import repro.cdd.{DistRange, Rule, ValueEq}
+import scala.annotation.unused
+import repro.cdd.{Rule, ValueEq}
 import repro.core.{Pivots, Record, Text}
 
 /** CDD-index `I_j` (§5.1, Fig. 2): for each dependent attribute j, the rules
-  * `X → A_j` are organised as a lattice of determinant-set groups (the `g`
-  * combined-rule groups), each with an aR-tree over constraint geometry.
+  * `X → A_j` keyed by their constant constraints.
   *
-  * Constraint encoding per attribute dimension x (as in the paper):
-  *  - `ValueEq(v)`  → the degenerate point `dist(v, piv_1[A_x])` (textual
-  *    constants are pivot-converted before indexing);
-  *  - `DistRange`   → the full `[0, 1]` interval (pairwise-distance
-  *    constraints admit any record location);
-  *  - x not in X    → `[-1, 1]`, i.e. the rule also matches records whose
-  *    attribute x is missing (encoded as query coordinate −1).
+  * The paper places each rule's constraints in an aR-tree. A `DistRange`
+  * determinant admits a record anywhere in `[0, 1]`, so such a tree can
+  * exclude a rule only by a `ValueEq` constant that differs from the
+  * record's value, which a hash lookup decides. So a rule with no `ValueEq`
+  * determinant sits in a plain list, and every other rule in exactly one
+  * bucket, keyed by one of its `ValueEq` determinants: the attribute and the
+  * constant's tokens as content (so "Foo Bar" and "bar, foo" share a key).
   *
-  * A query point for record r uses `dist(r[A_x], piv_1[A_x])` on non-missing
-  * attributes and −1 on missing ones, so rules requiring a missing
-  * determinant are pruned structurally. Node aggregates bound the dependent
-  * intervals `A_j.I` of the rules underneath.
+  * `pivots` and `d` are unused: the lookups read only tokens.
   */
-final class CDDIndex(rules: Seq[Rule], pivots: Pivots, d: Int) extends Serializable {
+final class CDDIndex(rules: Seq[Rule], @unused pivots: Pivots, @unused d: Int) extends Serializable {
+
   import CDDIndex._
 
-  private val groups: Map[Int, Vector[(Set[Int], ARTree[Rule, Agg])]] =
-    rules.groupBy(_.dep).map { case (j, rs) =>
-      val byDet = rs.groupBy(_.detAttrs).toVector.sortBy(_._1.toSeq.sorted.mkString(","))
-      j -> byDet.map { case (det, grs) =>
-        val items = grs.map { rule =>
-          val lo = Array.fill(d)(-1.0)
-          val hi = Array.fill(d)(1.0)
-          rule.det.foreach {
-            case (x, v: ValueEq)  =>
-              val c = Text.jdist(v.tokens, pivots.mainTokens(x))
-              lo(x) = c; hi(x) = c
-            case (x, _: DistRange) =>
-              lo(x) = 0.0; hi(x) = 1.0
-          }
-          (MBR.of(lo, hi), rule)
-        }
-        (det, ARTree.build[Rule, Agg](d, items)(r => Agg(r.depLo, r.depHi, 1), mergeAgg))
+  /** Per dependent j: the rules with no `ValueEq` determinant. */
+  private val free: Map[Int, Vector[Rule]] = rules.toVector.filter(keyAttr(_).isEmpty).groupBy(_.dep)
+
+  /** Per dependent j and attribute x: constant tokens → the rules bucketed
+    * under their `ValueEq` determinant on x.
+    */
+  private val keyed: Map[Int, Map[Int, Map[String, Vector[Rule]]]] =
+    rules.toVector.filter(keyAttr(_).isDefined).groupBy(_.dep).map { case (j, rs) =>
+      j -> rs.groupBy(keyAttr(_).get).map { case (x, xs) =>
+        x -> xs.groupBy(rule => key(rule.det(x).asInstanceOf[ValueEq].tokens))
       }
     }
 
-  @volatile var lastLeavesVisited: Int = 0
-
-  /** Select candidate rules to impute missing attribute j of record r
-    * (verified exactly at the leaves — constant constraints are re-checked
-    * on token sets, not just pivot coordinates).
+  /** The rules that can impute missing attribute j of record r: those that
+    * are applicable to r and whose every constant holds r's value.
     */
   def select(r: Record, j: Int): Vector[Rule] = {
-    val rTok = r.attrs.map(_.fold(Text.Empty)(Text.tokens))
-    val pt   = Array.tabulate(d)(x => if (r.attrs(x).isDefined) Text.jdist(rTok(x), pivots.mainTokens(x)) else -1.0)
-    var leaves = 0
-    val out    = Vector.newBuilder[Rule]
-    groups.getOrElse(j, Vector.empty).foreach { case (_, tree) =>
-      leaves += tree.search(
-        keepNode = (mbr, _) => mbr.containsPoint(pt),
-        keepEntry = (mbr, rule) =>
-          mbr.containsPoint(pt) && rule.applicableTo(r) && rule.det.forall {
-            case (x, v: ValueEq) => Text.same(rTok(x), v.tokens)
-            case _               => true
-          },
-      )(out += _)
+    val out = Vector.newBuilder[Rule]
+    free.getOrElse(j, Vector.empty).foreach(rule => if (rule.applicableTo(r)) out += rule)
+    keyed.get(j).foreach { byAttr =>
+      val rTok = r.attrs.map(_.fold(Text.Empty)(Text.tokens))
+      byAttr.foreach { case (x, byConst) =>
+        if (r.attrs(x).isDefined) byConst.getOrElse(key(rTok(x)), Vector.empty).foreach { rule =>
+          if (rule.applicableTo(r) && rule.det.forall {
+                case (y, v: ValueEq) => Text.same(rTok(y), v.tokens)
+                case _               => true
+              }) out += rule
+        }
+      }
     }
-    lastLeavesVisited = leaves
     out.result()
   }
-
-  def ruleCount: Int = rules.size
 }
 
 object CDDIndex {
-  /** Node aggregate: minimum bounding dependent interval + rule count. */
-  final case class Agg(depLo: Double, depHi: Double, count: Int)
-  def mergeAgg(a: Agg, b: Agg): Agg =
-    Agg(math.min(a.depLo, b.depLo), math.max(a.depHi, b.depHi), a.count + b.count)
+  /** The attribute whose constant buckets a rule: its first `ValueEq`
+    * determinant in attribute order, or none.
+    */
+  private def keyAttr(rule: Rule): Option[Int] =
+    rule.det.collect { case (x, _: ValueEq) => x }.minOption
+
+  /** A token array as content; tokens hold no spaces. */
+  private def key(tokens: Array[String]): String = tokens.mkString(" ")
 }

@@ -43,7 +43,7 @@ final class SparkTER(
   private val sc = spark.sparkContext
 
   private val sketcher = SparkTER.Sketcher(rules, repo, new CDDIndex(rules, pivots, d),
-    Engine.drIndexFor(repo, pivots), pivots, params.keywordTokens)
+    Engine.drIndexFor(repo), pivots, params.keywordTokens)
 
   // Broadcast on first use: the repository and indexes reach the tasks once,
   // not with every batch's closure.

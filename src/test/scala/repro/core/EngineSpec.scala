@@ -120,6 +120,30 @@ class EngineSpec extends AnyFunSuite {
       s"TER-iDS ${ter.stats.imputeSamplesChecked} vs Ij+GER ${ij.stats.imputeSamplesChecked} samples checked")
   }
 
+  test("the flag-set constructor builds TER-iDS and rejects any other flag set") {
+    // Past the DR-index cutover, so a plan without the DR-index would check
+    // more samples.
+    val songs = ExpConfig(ERSynth.Songs, eta = 0.5, xi = 0.5, w = 60, maxSteps = 120)
+    val p     = songs.profile
+    val b     = Harness.base(p)
+    val (sa, sb) = ERSynth.mask(b, songs.xi, songs.m)
+    val params = Params(ERSynth.defaultKeywords(b), songs.gamma, songs.alpha, songs.w)
+    def flags(grid: Boolean) = new Engine(p.d, Harness.rules(p, songs.eta, UseCDD),
+      Some(new repro.impute.Repo(Harness.repo(p, songs.eta).rows)), Harness.pivots(p, songs.eta), b.topicVocab,
+      params, useCddIndex = true, useDrIndex = true, useGrid = grid, usePruning = true, imputeKind = UseCDD)
+    def counters(s: RunStats): Seq[Long] = Seq(s.steps, s.pairsTotal, s.prunedKeyword, s.prunedSimUB,
+      s.prunedProbUB, s.prunedInstancePair, s.refinedFull, s.matchedPairs, s.instancePairsChecked,
+      s.gridRecomputes, s.imputeSamplesChecked)
+    val viaFlags  = flags(grid = true)
+    val viaMethod = Harness.engineFor(TERiDS, songs)
+    Seq(viaFlags, viaMethod).foreach(_.run(Seq(sa, sb), songs.maxSteps))
+    assert(viaFlags.method == TERiDS)
+    assert(viaFlags.allMatches == viaMethod.allMatches && viaFlags.currentES == viaMethod.currentES)
+    assert(counters(viaFlags.stats) == counters(viaMethod.stats))
+    assert(viaMethod.stats.imputeSamplesChecked > 0)
+    intercept[IllegalArgumentException](flags(grid = false))
+  }
+
   test("window size never exceeds w") {
     val eng = Harness.engineFor(TERiDS, cfg)
     val b   = Harness.base(cfg.profile)

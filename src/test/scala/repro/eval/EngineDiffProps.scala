@@ -28,17 +28,9 @@ final case class Draw(profile: ERSynth.Profile, eta: Double, xi: Double, m: Int,
 
   /** A method's engine as `Harness.engineFor` builds it, with these params. */
   def engine(method: Method): Engine = {
-    val rules  = Harness.rules(profile, eta, UseCDD)
-    val repo   = Some(new Repo(Harness.repo(profile, eta).rows))
-    val pivots = Harness.pivots(profile, eta)
-    def mk(cddIdx: Boolean, drIdx: Boolean, grid: Boolean, prune: Boolean) =
-      new Engine(profile.d, rules, repo, pivots, Set.empty, params, cddIdx, drIdx, grid, prune, UseCDD)
-    method match {
-      case TERiDS => mk(cddIdx = true, drIdx = true, grid = true, prune = true)
-      case IjGer  => mk(cddIdx = true, drIdx = false, grid = true, prune = true)
-      case CddEr  => mk(cddIdx = false, drIdx = false, grid = false, prune = false)
-      case other  => throw new IllegalArgumentException(s"$other is not a CDD method")
-    }
+    require(method.imputeKind == UseCDD, s"$method is not a CDD method")
+    new Engine(profile.d, Harness.rules(profile, eta, UseCDD), Some(new Repo(Harness.repo(profile, eta).rows)),
+      Harness.pivots(profile, eta), params, method)
   }
 
   def run(method: Method): Set[(Long, Long)] = {

@@ -34,7 +34,7 @@ class IndexesSpec extends AnyFunSuite {
             case _                         => true
           })
         val indexed = cddIdx.select(r, j)
-        assert(indexed.toSet == linear.toSet, s"rid=${r.rid} attr=$j")
+        assert(indexed.sortBy(_.toString) == linear.sortBy(_.toString), s"rid=${r.rid} attr=$j")
       }
     }
   }
@@ -45,13 +45,6 @@ class IndexesSpec extends AnyFunSuite {
         cddIdx.select(r, j).foreach(rule => assert(rule.applicableTo(r)))
       }
     }
-  }
-
-  test("CDD-index tracks visited leaves") {
-    val r = randomRecords(50, xi = 1.0, m = 1).find(_.missing.nonEmpty).get
-    cddIdx.select(r, r.missing.head)
-    assert(cddIdx.lastLeavesVisited >= 0)
-    assert(cddIdx.ruleCount == rules.size)
   }
 
   test("DR-index finder candidates are a superset of the satisfying samples") {

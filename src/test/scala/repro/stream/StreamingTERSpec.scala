@@ -62,7 +62,7 @@ class StreamingTERSpec extends SparkSpec {
     val streams = Seq(0, 1).map(sid => Vector.tabulate(6)(t => Record(2L * t + sid, sid, t, vals)))
     val a       = args
     val params  = a._6.copy(keywords = Set("topic0"), w = 1)
-    val eng     = new Engine(a._2, a._3, Some(a._4), a._5, Set.empty, params, true, true, true, true, UseCDD)
+    val eng     = new Engine(a._2, a._3, Some(a._4), a._5, params, TERiDS)
     eng.run(streams)
     val st = new StreamingTER(a._1, a._2, a._3, a._4, a._5, params)
     try {
