@@ -37,6 +37,17 @@ final class RunStats {
   var gridRecomputes: Long       = 0
   /** Repository samples verified with `Rule.satisfiedBy` during imputation. */
   var imputeSamplesChecked: Long = 0
+  /** Domain values verified with `Text.jdist` while expanding `cand(s[A_j])`. */
+  var neighborsChecked: Long     = 0
+  // Imputation quality: tuples with a missing value, their missing values,
+  // the values that fell back to `Imputer.missSentinel`, the tuples whose
+  // instance cross product exceeded `Imputer.MaxInstances`, and the summed
+  // probability mass the caps dropped (1 − Σ p per tuple).
+  var imputedTuples: Long        = 0
+  var imputedAttrs: Long         = 0
+  var sentinelFallbacks: Long    = 0
+  var instanceCapBinds: Long     = 0
+  var droppedMass: Double        = 0.0
   var cddSelectNanos: Long       = 0
   var imputeNanos: Long          = 0
   var erNanos: Long              = 0
@@ -100,8 +111,9 @@ final class Engine(
   private val grid: Option[ERGrid] =
     if (indexed) Some(new ERGrid(d, Engine.CellsPerDim)) else None
 
-  private val addSelectNanos: Long => Unit    = stats.cddSelectNanos += _
-  private val addSamplesChecked: Long => Unit = stats.imputeSamplesChecked += _
+  private val addSelectNanos: Long => Unit      = stats.cddSelectNanos += _
+  private val addSamplesChecked: Long => Unit   = stats.imputeSamplesChecked += _
+  private val addNeighborsChecked: Long => Unit = stats.neighborsChecked += _
 
   /** Grid traversals so far; tags which traversal visited a grid entry. */
   private var traversals = 0L
@@ -150,7 +162,8 @@ final class Engine(
     if (imputeKind != UseCon)
       // The neighbor memo table belongs to the index infrastructure; naive
       // baselines rescan the domain like the straightforward method (§2.3).
-      Imputer.impute(r, rules, repoOpt.get, cddIndex, drIndex, cached = indexed, addSelectNanos, addSamplesChecked)
+      Imputer.impute(r, rules, repoOpt.get, cddIndex, drIndex, cached = indexed, addSelectNanos,
+        addSamplesChecked, addNeighborsChecked)
     else if (r.isComplete) Imputer.imputeComplete(r)
     else {
       val complete = windows.get(r.sid).iterator.flatten
@@ -158,6 +171,17 @@ final class Engine(
         .toVector
       Imputer.imputeFromWindow(r, complete)
     }
+
+  /** The imputation-quality counters of [[RunStats]] for one arrival. */
+  private def countImputation(r: Record, t: ImputedTuple): Unit = if (!r.isComplete) {
+    stats.imputedTuples += 1
+    r.missing.foreach { j =>
+      stats.imputedAttrs += 1
+      if (t.attrDists(j) == Vector((Imputer.missSentinel(r.rid, j), 1.0))) stats.sentinelFallbacks += 1
+    }
+    if (t.attrDists.iterator.map(_.size.toLong).product > Imputer.MaxInstances) stats.instanceCapBinds += 1
+    stats.droppedMass += 1.0 - t.instances.iterator.map(_.p).sum
+  }
 
   /** Candidate matching for one arrival against the current windows. */
   private def matchArrival(q: TupleSketch): Unit = {
@@ -228,6 +252,7 @@ final class Engine(
       // imputeRecord internally charges rule selection to cddSelectNanos;
       // keep the two break-up buckets disjoint (Fig. 6).
       stats.imputeNanos += (System.nanoTime() - t0) - (stats.cddSelectNanos - cddBefore)
+      countImputation(r, imputed)
       val t1 = System.nanoTime()
       matchArrival(sk)
       stats.erNanos += System.nanoTime() - t1

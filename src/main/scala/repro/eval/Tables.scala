@@ -116,12 +116,23 @@ object Tables {
   }
 
   // ── Parameter sweeps (Figs. 7–10, 13–17) ───────────────────────────────
-  /** Sweep one parameter; returns ms/step per (dataset, method, value). */
+  /** Runs per timed sweep cell; a cell reports their median. */
+  private val SweepRepeats = 3
+
+  /** Sweep one parameter; returns ms/step per (dataset, method, value), each
+    * the median of [[SweepRepeats]] runs. The repeats are whole rounds over
+    * the cells, so JIT warm-up or a host hiccup that lands on one cell in
+    * one round does not decide its value.
+    */
   def timeSweep(name: String, values: Seq[Double], mk: (Profile, Double) => ExpConfig)
       : (String, Map[(String, Method, Double), Double]) = {
     warmup()
-    val res = (for (p <- ERSynth.All; m <- Method.all; v <- values)
-      yield (p.name, m, v) -> run(m, mk(p, v)).stats.msPerStep).toMap
+    val cells  = for (p <- ERSynth.All; m <- Method.all; v <- values) yield (p, m, v)
+    val rounds = Seq.fill(SweepRepeats)(cells.map { case (p, m, v) => Harness.run(m, mk(p, v)).stats.msPerStep })
+    val res = cells.indices.map { i =>
+      val (p, m, v) = cells(i)
+      (p.name, m, v) -> rounds.map(_(i)).sorted.apply(SweepRepeats / 2)
+    }.toMap
     val md = ERSynth.All.map { p =>
       s"**${p.name}**\n\n" + Harness.table(
         Seq(name) ++ Method.all.map(_.name),

@@ -41,14 +41,19 @@ object Imputer {
     * `cached = false` recomputes every `cand(s[A_j])` domain scan — the
     * straightforward method's behavior (the memo table is part of our
     * index/synopsis infrastructure, withheld from the naive baselines).
-    * `samplesChecked` receives the number of `Rule.satisfiedBy` calls.
+    * `samplesChecked` receives the number of `Rule.satisfiedBy` calls, and
+    * `neighborsChecked` the number of domain values verified with
+    * `Text.jdist` while expanding `cand(s[A_j])`.
     */
   def valueDistribution(r: Record, j: Int, rules: Seq[Rule], repo: Repo,
                         finder: SampleFinder, cached: Boolean = true,
-                        samplesChecked: Long => Unit = _ => ()): Vector[(String, Double)] = {
+                        samplesChecked: Long => Unit = _ => (),
+                        neighborsChecked: Long => Unit = _ => ()): Vector[(String, Double)] = {
     val rTok = recordTokens(r)
     val freq = new Array[Long](repo.doms(j).size) // Eq. 4 multiset over dom(A_j)
-    var checked = 0L
+    var checked   = 0L
+    var neighbors = 0L
+    val verified: Long => Unit = neighbors += _
     rules.iterator.filter(rule => rule.dep == j && rule.applicableTo(r)).foreach { rule =>
       finder(rule, r).foreach { si =>
         val sTok = repo.tokenRows(si)
@@ -59,8 +64,8 @@ object Imputer {
             freq(repo.domIndex(j)(repo.rows(si)(j))) += 1L
           } else {
             val cand =
-              if (cached) repo.candidates(j, repo.rows(si)(j), rule.depLo, rule.depHi)
-              else repo.candidatesUncached(j, repo.rows(si)(j), rule.depLo, rule.depHi)
+              if (cached) repo.candidates(j, repo.rows(si)(j), rule.depLo, rule.depHi, verified)
+              else repo.candidatesUncached(j, repo.rows(si)(j), rule.depLo, rule.depHi, verified)
             var c = 0
             while (c < cand.length) { freq(cand(c)) += 1L; c += 1 }
           }
@@ -68,6 +73,7 @@ object Imputer {
       }
     }
     samplesChecked(checked)
+    neighborsChecked(neighbors)
     normalize(freq, repo, r.rid, j)
   }
 
@@ -115,13 +121,15 @@ object Imputer {
   /** Rule-based imputation of a record (Alg. 2), shared by `Engine` and
     * `SparkTER`: rule selection (CDD-index if given, else a linear filter,
     * timed into `selectNanos`), sample retrieval (the DR-index if given,
-    * else the scan), then Eq. 4 distributions (`cached` and
-    * `samplesChecked` as in [[valueDistribution]]) and the capped instances.
+    * else the scan), then Eq. 4 distributions (`cached`, `samplesChecked`
+    * and `neighborsChecked` as in [[valueDistribution]]) and the capped
+    * instances.
     */
   def impute(r: Record, rules: Seq[Rule], repo: Repo,
              cddIndex: Option[CDDIndex] = None, drIndex: Option[DRIndex] = None,
              cached: Boolean = true, selectNanos: Long => Unit = _ => (),
-             samplesChecked: Long => Unit = _ => ()): ImputedTuple = {
+             samplesChecked: Long => Unit = _ => (),
+             neighborsChecked: Long => Unit = _ => ()): ImputedTuple = {
     if (r.isComplete) return imputeComplete(r)
     val t0 = System.nanoTime()
     val selected = r.missing.map { j =>
@@ -132,7 +140,7 @@ object Imputer {
     val dists = r.attrs.indices.map { j =>
       r.attrs(j) match {
         case Some(v) => Vector((v, 1.0))
-        case None    => valueDistribution(r, j, selected(j), repo, finder, cached, samplesChecked)
+        case None    => valueDistribution(r, j, selected(j), repo, finder, cached, samplesChecked, neighborsChecked)
       }
     }.toVector
     ImputedTuple(r.rid, r.sid, r.ts, dists, assembleInstances(dists))

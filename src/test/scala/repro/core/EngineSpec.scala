@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.ERSynth
 import repro.eval._
+import repro.impute.{Imputer, Repo}
 
 /** End-to-end engine semantics: the indexed TER-iDS pipeline must produce
   * exactly the same entity set as the naive straightforward method (all
@@ -118,6 +119,31 @@ class EngineSpec extends AnyFunSuite {
     assert(ter.stats.imputeSamplesChecked > 0 &&
       ter.stats.imputeSamplesChecked * 10 < ij.stats.imputeSamplesChecked,
       s"TER-iDS ${ter.stats.imputeSamplesChecked} vs Ij+GER ${ij.stats.imputeSamplesChecked} samples checked")
+  }
+
+  test("the imputation-quality counters equal a recount with Imputer.impute on the same records") {
+    // Values per attribute past Imputer.MaxValuesPerAttr drop mass here.
+    val songs = ExpConfig(ERSynth.Songs, eta = 0.5, xi = 0.8, m = 3, w = 60, maxSteps = 300)
+    val b     = Harness.base(songs.profile)
+    val (sa, sb) = ERSynth.mask(b, songs.xi, songs.m)
+    val rules = Harness.rules(songs.profile, songs.eta, UseCDD)
+    val repo  = new Repo(Harness.repo(songs.profile, songs.eta).rows)
+    val recs  = Seq(sa, sb).flatMap(_.take(songs.maxSteps)).filterNot(_.isComplete)
+    val imputed = recs.map(r => r -> Imputer.impute(r, rules, repo))
+    val sentinels = imputed.map { case (r, t) =>
+      r.missing.count(j => t.attrDists(j) == Vector((Imputer.missSentinel(r.rid, j), 1.0)))
+    }.sum
+    val capBinds = imputed.count { case (_, t) => t.attrDists.map(_.size.toLong).product > Imputer.MaxInstances }
+    val dropped  = imputed.map { case (_, t) => 1.0 - t.instances.map(_.p).sum }.sum
+    assert(sentinels > 0 && sentinels < recs.map(_.missing.size).sum && dropped > 0.1)
+    Seq(TERiDS, CddEr).foreach { m =>
+      val s = Harness.run(m, songs).stats
+      assert(s.imputedTuples == recs.size, m)
+      assert(s.imputedAttrs == recs.map(_.missing.size).sum, m)
+      assert(s.sentinelFallbacks == sentinels, m)
+      assert(s.instanceCapBinds == capBinds, m)
+      assert(math.abs(s.droppedMass - dropped) < 1e-9, s"$m: ${s.droppedMass} vs $dropped")
+    }
   }
 
   test("the flag-set constructor builds TER-iDS and rejects any other flag set") {
