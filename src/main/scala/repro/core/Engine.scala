@@ -35,6 +35,8 @@ final class RunStats {
   var instancePairsChecked: Long = 0
   /** ER-grid cells recomputed from their members (`ERGrid.recomputes`). */
   var gridRecomputes: Long       = 0
+  /** ER-grid entries the traversals walked (a cell's members or its topical part). */
+  var gridMembersVisited: Long   = 0
   /** Repository samples verified with `Rule.satisfiedBy` during imputation. */
   var imputeSamplesChecked: Long = 0
   /** Domain values verified with `Text.jdist` while expanding `cand(s[A_j])`. */
@@ -215,12 +217,25 @@ final class Engine(
         // (complete on every attribute) live in exactly one cell.
         traversals += 1
         val visit = traversals
-        g.nonEmptyCells.foreach { case (agg, members) =>
+        g.cellsInOrder.foreach { cell =>
+          val agg = cell.aggregate
           // Cell-level prunes: aggregates bound every member, so a pruned
           // cell prunes all its members (soundness argued in DESIGN.md).
           val cellKwPruned  = !qHasKw && !agg.hasAnyKeyword(k)
           val cellSimPruned = !cellKwPruned &&
             math.min(Pruning.ubSimBySize(q.attrs, agg.attrs), Pruning.ubSimByPivot(q.attrs, agg.attrs)) <= gamma
+          val members =
+            if (qHasKw) cell.entries
+            else {
+              // A keyword-free member is tested in its first cell, where the
+              // cell prunes or Theorem 4.1 reject it; book those of the other
+              // streams by count and walk only the topical members.
+              val free = cell.keywordFreeOutside(q.sid)
+              stats.pairsTotal += free
+              if (cellSimPruned) stats.prunedSimUB += free else stats.prunedKeyword += free
+              cell.topical
+            }
+          stats.gridMembersVisited += members.length
           var i = 0
           while (i < members.length) {
             val e = members(i)

@@ -86,13 +86,9 @@ object Tables {
   // ── Fig. 5(b): wall-clock time vs data sets ─────────────────────────────
   def fig5b(): (String, Map[(String, Method), Double]) = {
     warmup()
-    // Timing-critical: bypass the memo and measure each method twice in
-    // place, reporting the steady-state (second) run so no method pays the
-    // JIT/allocation warm-up that whichever ran first otherwise absorbs.
-    val res = (for (p <- ERSynth.All; m <- Method.all) yield {
-      Harness.run(m, defaultCfg(p, mainSteps))
-      (p.name, m) -> Harness.run(m, defaultCfg(p, mainSteps)).stats.msPerStep
-    }).toMap
+    val cells = for (p <- ERSynth.All; m <- Method.all) yield (p, m)
+    val res = medianRounds(cells)(c => Harness.run(c._2, defaultCfg(c._1, mainSteps)).stats)
+      .map { case ((p, m), rs) => (p.name, m) -> median(rs.map(_.msPerStep)) }
     val md = Harness.table(
       Seq("Data set") ++ Method.all.map(_.name),
       ERSynth.All.map(p => Seq(p.name) ++ Method.all.map(m => f"${res((p.name, m))}%.4f")))
@@ -102,10 +98,11 @@ object Tables {
   // ── Fig. 6: break-up cost of TER-iDS ────────────────────────────────────
   def fig6(): (String, Map[String, (Double, Double, Double)]) = {
     warmup()
-    val res = ERSynth.All.map { p =>
-      val s = run(TERiDS, defaultCfg(p, mainSteps)).stats
-      p.name -> (s.cddSelectNanos / 1e6 / s.steps, s.imputeNanos / 1e6 / s.steps, s.erNanos / 1e6 / s.steps)
-    }.toMap
+    val res = medianRounds(ERSynth.All)(p => Harness.run(TERiDS, defaultCfg(p, mainSteps)).stats).map {
+      case (p, rs) =>
+        def perStep(nanos: RunStats => Long) = median(rs.map(s => nanos(s) / 1e6 / s.steps))
+        p.name -> (perStep(_.cddSelectNanos), perStep(_.imputeNanos), perStep(_.erNanos))
+    }
     val md = Harness.table(
       Seq("Data set", "CDD selection (ms)", "imputation (ms)", "ER (ms)"),
       ERSynth.All.map { p =>
@@ -116,23 +113,29 @@ object Tables {
   }
 
   // ── Parameter sweeps (Figs. 7–10, 13–17) ───────────────────────────────
-  /** Runs per timed sweep cell; a cell reports their median. */
+  /** Runs per timed cell; a cell reports their median. */
   private val SweepRepeats = 3
 
+  /** [[SweepRepeats]] runs of every cell, taken as whole rounds over the
+    * cells, so JIT warm-up or a host hiccup that lands on one cell in one
+    * round does not decide its value.
+    */
+  private def medianRounds[K](cells: Seq[K])(run: K => RunStats): Map[K, Seq[RunStats]] = {
+    val rounds = Seq.fill(SweepRepeats)(cells.map(run))
+    cells.indices.map(i => cells(i) -> rounds.map(_(i))).toMap
+  }
+
+  private def median(xs: Seq[Double]): Double = xs.sorted.apply(xs.size / 2)
+
   /** Sweep one parameter; returns ms/step per (dataset, method, value), each
-    * the median of [[SweepRepeats]] runs. The repeats are whole rounds over
-    * the cells, so JIT warm-up or a host hiccup that lands on one cell in
-    * one round does not decide its value.
+    * the median of [[medianRounds]].
     */
   def timeSweep(name: String, values: Seq[Double], mk: (Profile, Double) => ExpConfig)
       : (String, Map[(String, Method, Double), Double]) = {
     warmup()
-    val cells  = for (p <- ERSynth.All; m <- Method.all; v <- values) yield (p, m, v)
-    val rounds = Seq.fill(SweepRepeats)(cells.map { case (p, m, v) => Harness.run(m, mk(p, v)).stats.msPerStep })
-    val res = cells.indices.map { i =>
-      val (p, m, v) = cells(i)
-      (p.name, m, v) -> rounds.map(_(i)).sorted.apply(SweepRepeats / 2)
-    }.toMap
+    val cells = for (p <- ERSynth.All; m <- Method.all; v <- values) yield (p, m, v)
+    val res = medianRounds(cells)(c => Harness.run(c._2, mk(c._1, c._3)).stats)
+      .map { case ((p, m, v), rs) => (p.name, m, v) -> median(rs.map(_.msPerStep)) }
     val md = ERSynth.All.map { p =>
       s"**${p.name}**\n\n" + Harness.table(
         Seq(name) ++ Method.all.map(_.name),

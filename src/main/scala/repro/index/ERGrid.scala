@@ -20,6 +20,13 @@ import repro.core.{AttrSketch, TupleSketch}
   * zero leaves the keyword set, and only a distance or size bound that
   * loses its last attaining member makes the cell recompute from its
   * members, when a traversal next reads it.
+  *
+  * Each cell also splits its members by topic: `topical` lists the entries
+  * whose sketch may contain a query keyword, and the keyword-free entries
+  * are only counted, per stream, in the first cell that holds them (the
+  * lowest id of `cellIdsOf`, where an ascending traversal meets a
+  * multi-cell entry first). An arrival without a keyword walks `topical`
+  * and books the counted members without visiting them.
   */
 final class ERGrid(val d: Int, val cellsPerDim: Int) {
   import ERGrid._
@@ -53,14 +60,15 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
   def insert(sk: TupleSketch): Unit = {
     val ids = cellIdsOf(sk)
     val e   = Entry(sk, ids.size > 1)
-    ids.foreach(c => cells.getOrElseUpdate(c, new Cell).add(e))
+    ids.foreach(c => cells.getOrElseUpdate(c, new Cell(c)).add(e, first = c == ids.head))
     liveCount += 1
   }
 
   def remove(sk: TupleSketch): Unit = {
-    cellIdsOf(sk).foreach { c =>
+    val ids = cellIdsOf(sk)
+    ids.foreach { c =>
       cells.get(c).foreach { cell =>
-        if (cell.remove(sk) && cell.entries.isEmpty) cells.remove(c)
+        if (cell.remove(sk, first = c == ids.head) && cell.entries.isEmpty) cells.remove(c)
       }
     }
     liveCount -= 1
@@ -78,14 +86,33 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
     * holds it, so the counters depend on this order).
     */
   def nonEmptyCells: Iterator[(CellAgg, mutable.ArrayBuffer[Entry])] =
-    cells.valuesIterator.map(c => (c.aggregate, c.entries))
+    cellsInOrder.map(c => (c.aggregate, c.entries))
 
-  /** One cell: its entries, the running bounds with the number of members
-    * attaining each, per-keyword member counts, and the last published
-    * aggregate (null once a bound or the keyword set changes).
+  /** The non-empty cells themselves, in ascending flat-id order. */
+  def cellsInOrder: Iterator[Cell] = cells.valuesIterator
+
+  /** One cell: its entries, their topical part, per-stream counts of the
+    * keyword-free entries it is the first cell of, the running bounds with
+    * the number of members attaining each, per-keyword member counts, and
+    * the last published aggregate (null once a bound or the keyword set
+    * changes).
     */
-  private final class Cell {
+  final class Cell private[ERGrid] (val id: Long) {
     val entries = mutable.ArrayBuffer.empty[Entry]
+
+    /** The entries whose sketch may contain a query keyword (`sk.kw` non-empty). */
+    val topical = mutable.ArrayBuffer.empty[Entry]
+
+    private val freeBySid = mutable.HashMap.empty[Int, Int]
+    private var freeTotal = 0
+
+    /** Keyword-free entries of stream `sid` whose first cell is this one. */
+    def keywordFree(sid: Int): Int = freeBySid.getOrElse(sid, 0)
+
+    /** Keyword-free entries of every stream but `sid` whose first cell is
+      * this one.
+      */
+    def keywordFreeOutside(sid: Int): Int = freeTotal - keywordFree(sid)
 
     private var lo: Array[Array[Double]] = _
     private var hi: Array[Array[Double]] = _
@@ -104,19 +131,30 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
     private var exact = false
     private var agg: CellAgg = _
 
-    def add(e: Entry): Unit = {
+    /** Adds an entry; `first` if this is the lowest of the entry's cells. */
+    private[ERGrid] def add(e: Entry, first: Boolean): Unit = {
       entries += e
+      if (e.sk.kw.nonEmpty) topical += e
+      else if (first) countFree(e.sk.sid, 1)
       if (exact) fold(e.sk)
       else if (entries.length == 1) rebuild()
     }
 
     /** Removes the entry of `sk`'s tuple; false if the cell does not hold it. */
-    def remove(sk: TupleSketch): Boolean = {
+    private[ERGrid] def remove(sk: TupleSketch, first: Boolean): Boolean = {
       val i = entries.indexWhere(e => e.sk.rid == sk.rid && e.sk.sid == sk.sid)
       if (i < 0) return false
-      entries.remove(i)
+      val e = entries.remove(i)
+      if (e.sk.kw.nonEmpty) topical.remove(topical.indexWhere(_ eq e))
+      else if (first) countFree(e.sk.sid, -1)
       if (exact && entries.nonEmpty) unfold(sk)
       true
+    }
+
+    private def countFree(sid: Int, delta: Int): Unit = {
+      val n = keywordFree(sid) + delta
+      if (n == 0) freeBySid.remove(sid) else freeBySid(sid) = n
+      freeTotal += delta
     }
 
     def aggregate: CellAgg = {

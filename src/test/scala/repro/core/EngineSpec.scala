@@ -83,6 +83,11 @@ class EngineSpec extends AnyFunSuite {
     // the multi-cell dedup is exercised.
     val uncertain = Harness.run(TERiDS, cfg.copy(xi = 0.5, m = 2)).stats
     assert(counters(uncertain) == Seq(260L, 47860L, 41604L, 469L, 0L, 1681L, 4091L, 15L, 7013L))
+    // Arrivals without a keyword walk only the cells' topical members, so
+    // the traversals visit fewer grid entries than they test pairs.
+    Seq(results(TERiDS).stats -> 14870L, uncertain -> 13442L).foreach { case (s, visited) =>
+      assert(s.gridMembersVisited == visited && visited < s.pairsTotal, s"${s.gridMembersVisited} visited")
+    }
     // Evictions that keep every cell bound attained leave the cell aggregate
     // exact; only a few cells are recomputed from their members.
     val evictions = 2L * (cfg.maxSteps - cfg.w)

@@ -50,7 +50,11 @@ object Draw {
     rho      <- Gen.choose(0.2, 0.6)
     lens     <- Gen.listOfN(3, Gen.choose(20, 100)).map(_.toVector)
     w        <- Gen.frequency(1 -> Gen.const(1), 2 -> Gen.const(40), 2 -> Gen.const(lens.max + 1))
-    keywords <- Gen.frequency(1 -> Set.empty[String], 2 -> Set("topic0"), 2 -> Set("TOPIC0"), 2 -> Set("w1t0"))
+    // Two to twelve topic words make up to every topical tuple a keyword
+    // tuple, so grid cells mix keyword and keyword-free members.
+    keywords <- Gen.frequency(1 -> Gen.const(Set.empty[String]), 2 -> Gen.const(Set("topic0")),
+                  2 -> Gen.const(Set("TOPIC0")), 2 -> Gen.const(Set("w1t0")),
+                  2 -> Gen.choose(2, 12).map(n => (0 until n).map(i => s"topic$i").toSet))
     seed     <- Gen.choose(0L, 1000L)
     batchTs  <- Gen.choose(1, 30)
   } yield Draw(profile, eta, xi, m, alpha, rho, w, keywords, lens, seed, batchTs)
@@ -69,6 +73,29 @@ object EngineDiffProps extends Properties("EngineDiff") {
     Prop.classify(naive.nonEmpty, "pairs found", "no pairs") {
       Prop(ter == naive && d.run(IjGer) == naive) :| s"TER-iDS ${ter.size} pairs, CDD+ER ${naive.size}"
     }
+  }
+}
+
+/** The ER-grid's topic split on random configurations: TER-iDS and Ij+GER,
+  * which book the keyword-free members of a cell by count, give the pairs
+  * and pruning counters of the member-by-member loop over every cell. A
+  * miscounted member shows only in draws where its cells differ in outcome,
+  * so this property takes more draws.
+  */
+object GridCounterProps extends Properties("GridCounters") {
+  override def overrideParameters(p: Test.Parameters): Test.Parameters = p.withMinSuccessfulTests(400)
+
+  property("TER-iDS and Ij+GER counters equal the member-by-member loop") = Prop.forAllNoShrink(Draw.gen) { d =>
+    val p = d.profile
+    Prop.all(Seq(TERiDS, IjGer).map { m =>
+      val eng = d.engine(m)
+      eng.run(d.streams)
+      val ref = new MemberLoop(p.d, Harness.rules(p, d.eta, UseCDD), new Repo(Harness.repo(p, d.eta).rows),
+        Harness.pivots(p, d.eta), d.params, m)
+      ref.run(d.streams)
+      val (got, want) = (MemberLoop.counters(eng.stats), MemberLoop.counters(ref.stats))
+      Prop(got == want && eng.allMatches == ref.allMatches.toSet) :| s"$m counters $got, reference $want"
+    }: _*)
   }
 }
 

@@ -182,6 +182,60 @@ class ERGridSpec extends AnyFunSuite {
     }
   }
 
+  /** Each cell's topical part and first-cell keyword-free counts against a
+    * recount from the live sketches, and the cells' members in ascending
+    * cell order against every (tuple, cell) incidence.
+    */
+  private def assertTopicSplit(g: ERGrid, live: Iterable[TupleSketch], sids: Seq[Int], clue: String): Unit = {
+    val cells = g.cellsInOrder.toVector
+    val ids   = cells.map(_.id)
+    assert(ids == ids.sorted && ids.distinct == ids, clue)
+    assert(g.nonEmptyCells.map(_._2.toVector).toVector == cells.map(_.entries.toVector), clue)
+    val incidences = for (c <- cells; e <- c.entries) yield (e.sk.rid, e.sk.sid, c.id)
+    assert(incidences.sorted == live.toVector.flatMap(sk => g.cellIdsOf(sk).map(c => (sk.rid, sk.sid, c))).sorted, clue)
+    def key(e: ERGrid.Entry) = (e.sk.rid, e.sk.sid)
+    cells.foreach { c =>
+      assert(c.topical.map(key).sorted == c.entries.filter(_.sk.kw.nonEmpty).map(key).sorted, s"$clue cell ${c.id}")
+      val free = sids.map { sid =>
+        live.count(sk => sk.sid == sid && sk.kw.isEmpty && g.cellIdsOf(sk).head == c.id)
+      }
+      sids.indices.foreach { i =>
+        assert(c.keywordFree(sids(i)) == free(i), s"$clue cell ${c.id} stream ${sids(i)}")
+        assert(c.keywordFreeOutside(sids(i)) == free.sum - free(i), s"$clue cell ${c.id} stream ${sids(i)}")
+      }
+    }
+  }
+
+  test("topical parts and first-cell keyword-free counts equal a recount after random inserts and removes") {
+    // Three streams, multi-cell boxes (two values per attribute), ties on
+    // every bound (few distinct values, duplicates under other rids), and
+    // sketches with and without query keywords.
+    val values = Vector("p0 p1", "p0", "p1 zz", "topic0 p0", "topic1 zz yy", "zz", "", "q0 q1")
+    val sids   = Seq(0, 1, 2, 3) // stream 3 never occurs
+    (1 to 20).foreach { seed =>
+      val rnd  = new Random(seed)
+      val g    = new ERGrid(d, 3)
+      val live = collection.mutable.ArrayBuffer.empty[TupleSketch]
+      (1 to 150).foreach { i =>
+        if (live.nonEmpty && rnd.nextInt(3) == 0) g.remove(live.remove(rnd.nextInt(live.size)))
+        else {
+          def dist() = {
+            val n = 1 + rnd.nextInt(2)
+            Vector.fill(n)(values(rnd.nextInt(values.size))).distinct.map(v => (v, 1.0 / n))
+          }
+          val sk  = sketch(i, rnd.nextInt(3), i, Vector(dist(), dist()))
+          val dup = if (rnd.nextInt(4) == 0) Some(sketch(100000 + i, rnd.nextInt(3), i, sk.t.attrDists)) else None
+          (sk +: dup.toSeq).foreach { s => g.insert(s); live += s }
+        }
+        assertTopicSplit(g, live, sids, s"seed $seed step $i")
+      }
+      assert(live.exists(_.kw.isEmpty) && live.exists(_.kw.nonEmpty) && live.exists(g.cellIdsOf(_).size > 1))
+      live.toVector.foreach { sk => g.remove(sk); live -= sk }
+      assertTopicSplit(g, live, sids, s"seed $seed emptied")
+      assert(g.cellsInOrder.isEmpty)
+    }
+  }
+
   test("a bound attained by two members survives removing one without a recompute") {
     val g = new ERGrid(d, 1) // one cell holds every tuple
     val a = certain(1, 0, "topic0 q", "q0")
