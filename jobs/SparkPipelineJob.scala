@@ -8,7 +8,10 @@ import repro.spark.SparkTER
 
 /** Runs the TER-iDS Spark dataflow pipeline over a data set end-to-end
   * (micro-batched stateful window join) and reports the F-score against the
-  * Eq. 2 ground truth — the distributed counterpart of the core engine:
+  * Eq. 2 ground truth — the distributed counterpart of the core engine —
+  * with `SparkTER.stats`: the batches, the time in Spark jobs, in
+  * same-batch pair tests on the driver and in segment broadcasts, and the
+  * pair tests made in tasks and on the driver:
   *
   *   spark-submit --class repro.jobs.SparkPipelineJob <jar> [dataset] [batchTs]
   */
@@ -37,8 +40,11 @@ object SparkPipelineJob {
       val truth = Harness.groundTruth(cfg)
         .filter { case (ra, rb) => ra / 2 < cfg.maxSteps && rb / 2 < cfg.maxSteps }
       val prf = Metrics.prf(found, truth)
+      val st  = ter.stats
       println(f"dataset=${profile.name} batchTs=$batchTs pairs=${found.size} " +
-        f"P=${prf.precision}%.4f R=${prf.recall}%.4f F=${prf.f}%.4f wall=${secs}%.1fs")
+        f"P=${prf.precision}%.4f R=${prf.recall}%.4f F=${prf.f}%.4f wall=${secs}%.1fs " +
+        f"batches=${st.batches} job=${st.jobNanos / 1e9}%.2fs driverPairs=${st.driverPairNanos / 1e9}%.3fs " +
+        f"broadcast=${st.broadcastNanos / 1e9}%.3fs taskTests=${st.taskPairTests} driverTests=${st.driverPairTests}")
     } finally spark.stop()
   }
 }

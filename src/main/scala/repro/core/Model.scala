@@ -17,8 +17,10 @@ final case class Record(rid: Long, sid: Int, ts: Long, attrs: Vector[Option[Stri
 
 /** One possible complete world of an imputed tuple, with existence prob. */
 final case class Instance(attrs: Vector[String], p: Double) {
-  /** Per-attribute token arrays (`Text.tokens`). */
-  lazy val tokens: Array[Array[String]] = attrs.iterator.map(Text.tokens).toArray
+  /** Per-attribute token arrays (`Text.tokens`), rebuilt after Java
+    * serialization rather than written with the instance.
+    */
+  @transient lazy val tokens: Array[Array[String]] = attrs.iterator.map(Text.tokens).toArray
 
   /** ϖ(r_{i,m}, K): does this instance contain at least one query keyword?
     * One lookup per keyword and attribute.

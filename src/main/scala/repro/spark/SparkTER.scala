@@ -19,17 +19,37 @@ object RecordRow {
   def of(r: Record): RecordRow = RecordRow(r.rid, r.sid, r.ts, r.attrs.map(_.orNull))
 }
 
+/** Per-run totals of a [[SparkTER]]: where a batch's time and pair tests go. */
+final class SparkStats {
+  var batches: Long         = 0
+  /** The batch's Spark job: imputation, sketching and the in-task pair tests, up to `collect`. */
+  var jobNanos: Long        = 0
+  /** Same-batch pair tests on the driver. */
+  var driverPairNanos: Long = 0
+  /** Broadcasting each batch's sketches as a window segment. */
+  var broadcastNanos: Long  = 0
+  var taskPairTests: Long   = 0
+  var driverPairTests: Long = 0
+}
+
 /** Micro-batch TER-iDS on Spark, a thin layer over `Engine`'s functions
-  * (DESIGN.md "Layering note"). Each batch is two Spark jobs: a map that
-  * imputes and sketches every arrival once, as `Engine` does, then a job
-  * that tests each arrival with `Pruning.testPair` against exactly the
-  * windows `Engine` holds when that arrival comes in.
+  * (DESIGN.md "Layering note"). Each batch is one Spark job: a task imputes
+  * and sketches its arrivals, as `Engine` does, and tests each with
+  * `Pruning.testPair` against the window positions that existed before the
+  * batch. The driver then tests each arrival against the earlier arrivals
+  * of other streams in the same batch.
   *
   * The windows stay in this object, outside Spark, and follow `Engine.step`'s
-  * eviction: as a timestamp (a run of rows with equal `ts`, which a batch
-  * must not split) starts, each stream with an arrival is cut to w − 1
-  * tuples; then the arrivals are matched and appended in the order given.
-  * `vocab` is unused.
+  * eviction: as a timestamp (a run of rows with equal `ts`) starts, each
+  * stream with an arrival is cut to w − 1 tuples; then the arrivals are
+  * matched and appended in the order given. A batch must hold whole
+  * timestamps in order: its `ts` must not decrease, and its first `ts` must
+  * exceed the previous batch's last.
+  *
+  * A window holds references into segments: each batch's sketches are
+  * broadcast once, as one segment, and a segment is destroyed as soon as no
+  * window references it. So a task's closure carries segment handles and
+  * index arrays, not sketches. `vocab` is unused.
   */
 final class SparkTER(
     spark: SparkSession,
@@ -40,59 +60,123 @@ final class SparkTER(
     @unused vocab: Set[String],
     params: Params,
 ) {
+  import SparkTER._
+
   private val sc = spark.sparkContext
 
-  private val sketcher = SparkTER.Sketcher(rules, repo, new CDDIndex(rules, pivots, d),
+  private val sketcher = Sketcher(rules, repo, new CDDIndex(rules, pivots, d),
     Engine.drIndexFor(repo), pivots, params.keywordTokens)
 
   // Broadcast on first use: the repository and indexes reach the tasks once,
   // not with every batch's closure.
-  private lazy val sketcherBc: Broadcast[SparkTER.Sketcher] = sc.broadcast(sketcher)
+  private lazy val sketcherBc: Broadcast[Sketcher] = sc.broadcast(sketcher)
 
   /** Per-stream windows, oldest first. */
-  private val windows = mutable.Map.empty[Int, Array[TupleSketch]]
-  private val all     = mutable.LinkedHashSet.empty[(Long, Long)]
+  private val windows  = mutable.Map.empty[Int, Vector[Slot]]
+  /** The segments some window references. */
+  private val segments = mutable.ArrayBuffer.empty[Segment]
+  private val all      = mutable.LinkedHashSet.empty[(Long, Long)]
+  private var lastTs   = Long.MinValue
 
-  def windowState: Seq[TupleSketch] = windows.valuesIterator.flatten.toSeq
+  val stats = new SparkStats
+
+  def windowState: Seq[TupleSketch] = windows.valuesIterator.flatMap(_.map(_.sketch)).toSeq
   def allMatches: Set[(Long, Long)] = all.toSet
+
+  private def referenced: Set[Segment] = windows.valuesIterator.flatMap(_.iterator.map(_.seg)).toSet
+
+  /** Segments not yet destroyed, and the segments the windows reference. */
+  private[spark] def liveSegments: Int       = segments.size
+  private[spark] def referencedSegments: Int = referenced.size
 
   /** Process one micro-batch of arrivals; returns the new matching pairs. */
   def processBatch(records: Seq[RecordRow]): Set[(Long, Long)] = {
     if (records.isEmpty) return Set.empty
-    val bc       = sketcherBc
-    val arrivals = sc.parallelize(records, sc.defaultParallelism).map(r => bc.value.sketch(r)).collect()
+    require(records.head.ts > lastTs, s"batch starts at ts ${records.head.ts}, not after the previous batch's " +
+      s"last ts $lastTs: a timestamp must reach processBatch whole")
+    require(records.iterator.zip(records.iterator.drop(1)).forall { case (a, b) => a.ts <= b.ts },
+      "timestamps decrease within a batch: processBatch takes whole timestamps in order")
+    lastTs = records.last.ts
+    stats.batches += 1
 
     // Per stream, what this batch's arrivals can see: the window as the batch
-    // starts, then the stream's own arrivals. Replaying Engine.step on
-    // positions gives each arrival the range [from, until) of every stream.
-    val sids  = (windows.keySet ++ arrivals.map(_.sid)).toArray.sorted
-    val cands = sids.map(s => windows.getOrElse(s, Array.empty[TupleSketch]) ++ arrivals.filter(_.sid == s))
+    // starts (positions below `pre`), then the stream's own arrivals.
+    // Replaying Engine.step on positions gives each arrival the range
+    // [from, until) of every stream.
+    val sids  = (windows.keySet ++ records.map(_.sid)).toArray.sorted
+    val pre   = sids.map(s => windows.get(s).fold(0)(_.length))
     val from  = new Array[Int](sids.length)
-    val until = sids.map(s => windows.get(s).fold(0)(_.length))
-    val probes = arrivals.indices.map { a =>
-      val ts = arrivals(a).ts
-      if (a == 0 || arrivals(a - 1).ts != ts) // a timestamp starts: cut its streams to w - 1 tuples
-        arrivals.iterator.drop(a).takeWhile(_.ts == ts).map(r => sids.indexOf(r.sid))
+    val until = pre.clone()
+    val probes = records.indices.map { a =>
+      val ts = records(a).ts
+      if (a == 0 || records(a - 1).ts != ts) // a timestamp starts: cut its streams to w - 1 tuples
+        records.iterator.drop(a).takeWhile(_.ts == ts).map(r => sids.indexOf(r.sid))
           .foreach(s => from(s) = math.max(from(s), until(s) - (params.w - 1)))
-      val s = sids.indexOf(arrivals(a).sid)
+      val s = sids.indexOf(records(a).sid)
       until(s) += 1
-      SparkTER.Probe(s, until(s) - 1, from.clone(), until.clone())
+      Probe(s, from.clone(), until.clone())
     }
-    sids.indices.foreach(s => windows(sids(s)) = cands(s).slice(from(s), until(s)))
 
-    val (k, gamma, alpha) = (params.keywordTokens, params.gamma, params.alpha)
-    val matched = sc.parallelize(probes, sc.defaultParallelism).flatMap { p =>
-      val q      = cands(p.stream)(p.pos)
+    // One job: sketch each arrival and test it against the pre-batch windows.
+    val (bc, k, gamma, alpha) = (sketcherBc, params.keywordTokens, params.gamma, params.alpha)
+    val view = View.of(segments, sids.map(s => windows.getOrElse(s, Vector.empty)))
+    val t0 = System.nanoTime()
+    val results = sc.parallelize(records.zip(probes), sc.defaultParallelism).mapPartitions { it =>
+      val old = view.resolve()
+      it.map { case (row, p) =>
+        val q       = bc.value.sketch(row)
+        val qHasKw  = q.hasAnyKeyword(k)
+        val matches = Array.newBuilder[(Long, Long)]
+        var tests   = 0
+        var s       = 0
+        while (s < p.from.length) {
+          if (s != p.stream) {
+            var c = p.from(s) // every pre-batch position from here on is below until(s)
+            while (c < old(s).length) {
+              if (Pruning.testPair(q, qHasKw, old(s)(c), k, gamma, alpha).matched) matches += pairKey(q, old(s)(c))
+              tests += 1
+              c += 1
+            }
+          }
+          s += 1
+        }
+        (q, matches.result(), tests)
+      }
+    }.collect()
+    stats.jobNanos += System.nanoTime() - t0
+
+    val sketches = results.map(_._1)
+    val matched  = mutable.Set.empty[(Long, Long)]
+    results.foreach { case (_, m, tests) => matched ++= m; stats.taskPairTests += tests }
+
+    // Same-batch pairs: each arrival against the earlier arrivals of other
+    // streams in this batch, window positions at or above `pre`.
+    val t1    = System.nanoTime()
+    val added = sids.indices.map(s => probes.indices.filter(probes(_).stream == s))
+    probes.indices.foreach { a =>
+      val (p, q) = (probes(a), sketches(a))
       val qHasKw = q.hasAnyKeyword(k)
-      for {
-        s <- p.from.indices.iterator if s != p.stream
-        c <- p.from(s).until(p.until(s)).iterator.map(cands(s))
-        if Pruning.testPair(q, qHasKw, c, k, gamma, alpha).matched
-      } yield (math.min(q.rid, c.rid), math.max(q.rid, c.rid))
-    }.collect().toSet
+      sids.indices.foreach { s =>
+        if (s != p.stream) (math.max(p.from(s), pre(s)) until p.until(s)).foreach { c =>
+          val o = sketches(added(s)(c - pre(s)))
+          if (Pruning.testPair(q, qHasKw, o, k, gamma, alpha).matched) matched += pairKey(q, o)
+          stats.driverPairTests += 1
+        }
+      }
+    }
+    stats.driverPairNanos += System.nanoTime() - t1
+
+    val t2  = System.nanoTime()
+    val seg = new Segment(sc.broadcast(sketches), sketches)
+    stats.broadcastNanos += System.nanoTime() - t2
+    segments += seg
+    sids.indices.foreach(s =>
+      windows(sids(s)) = (windows.getOrElse(sids(s), Vector.empty) ++ added(s).map(Slot(seg, _))).slice(from(s), until(s)))
+    val live = referenced
+    segments.filterInPlace(g => live(g) || { g.bc.destroy(); false })
 
     all ++= matched
-    matched
+    matched.toSet
   }
 
   /** Drive interleaved streams (one record per stream per timestamp, until
@@ -120,8 +204,37 @@ object SparkTER {
       TupleSketch.of(Imputer.impute(row.toRecord, rules, repo, Some(cddIndex), drIndex), pivots, keywords)
   }
 
-  /** One arrival's pair tests: the arrival is `cands(stream)(pos)`, and it
-    * sees positions `[from(s), until(s))` of every other stream `s`.
+  /** One batch's sketches, broadcast once; `sketches` is the driver's copy.
+    * Not serializable, so no closure can capture the sketches by mistake.
     */
-  private[spark] final case class Probe(stream: Int, pos: Int, from: Array[Int], until: Array[Int])
+  private final class Segment(val bc: Broadcast[Array[TupleSketch]], val sketches: Array[TupleSketch])
+
+  /** A window entry: the sketch at `i` in `seg`. */
+  private final case class Slot(seg: Segment, i: Int) {
+    def sketch: TupleSketch = seg.sketches(i)
+  }
+
+  /** The pre-batch windows as a task sees them: entry `p` of stream `s` is
+    * `segs(seg(s)(p)).value(idx(s)(p))`.
+    */
+  private final case class View(segs: Array[Broadcast[Array[TupleSketch]]], seg: Array[Array[Int]], idx: Array[Array[Int]]) {
+    def resolve(): Array[Array[TupleSketch]] = {
+      val values = segs.map(_.value)
+      seg.indices.map(s => seg(s).indices.map(p => values(seg(s)(p))(idx(s)(p))).toArray).toArray
+    }
+  }
+  private object View {
+    def of(live: collection.Seq[Segment], wins: Array[Vector[Slot]]): View = {
+      val at = live.iterator.zipWithIndex.toMap
+      View(live.iterator.map(_.bc).toArray, wins.map(_.iterator.map(sl => at(sl.seg)).toArray),
+        wins.map(_.iterator.map(_.i).toArray))
+    }
+  }
+
+  /** One arrival's pair tests: the arrival belongs to stream `stream`, and
+    * it sees positions `[from(s), until(s))` of every other stream `s`.
+    */
+  private[spark] final case class Probe(stream: Int, from: Array[Int], until: Array[Int])
+
+  private def pairKey(q: TupleSketch, c: TupleSketch): (Long, Long) = (math.min(q.rid, c.rid), math.max(q.rid, c.rid))
 }

@@ -18,6 +18,13 @@ import repro.spark.{RecordRow, SparkTER}
   * the paper's operator needs a count-based sliding window with
   * self-eviction and an unbounded-side join of the batch against that
   * window — neither is expressible with built-in stream-stream joins.
+  *
+  * `SparkTER` takes whole timestamps in order, so each micro-batch's newest
+  * timestamp is held back until a later one arrives. Reading `allMatches`
+  * flushes it: a caller that reads mid-timestamp and then feeds the rest of
+  * that timestamp gets `SparkTER`'s `IllegalArgumentException` (from
+  * `allMatches`, or from `feed` wrapped in the query's failure), not windows
+  * that differ from `Engine`'s.
   */
 final class StreamingTER(
     spark: SparkSession,

@@ -99,11 +99,13 @@ object GridCounterProps extends Properties("GridCounters") {
   }
 }
 
-/** The Spark pipeline on a couple of random configurations: its windows and
-  * pair test are the engine's, so it returns the engine's pairs.
+/** The Spark pipeline on random configurations: its windows and pair test
+  * are the engine's, so it returns the engine's pairs. `batchTs` from 1 to
+  * 30 against w ∈ {1, 40, longer than the stream} sends pairs both to the
+  * tasks (earlier batches) and to the driver (the same batch).
   */
 object SparkDiffProps extends Properties("SparkDiff") {
-  override def overrideParameters(p: Test.Parameters): Test.Parameters = p.withMinSuccessfulTests(2)
+  override def overrideParameters(p: Test.Parameters): Test.Parameters = p.withMinSuccessfulTests(10)
 
   property("SparkTER = Engine on random configurations") = Prop.forAllNoShrink(Draw.gen) { d =>
     val p   = d.profile

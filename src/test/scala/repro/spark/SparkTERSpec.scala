@@ -28,11 +28,12 @@ class SparkTERSpec extends SparkSpec {
     Seq(sa.take(cfg.maxSteps), sb.take(cfg.maxSteps))
   }
 
-  private lazy val coreFound = {
+  private lazy val coreEngine = {
     val eng = Harness.engineFor(TERiDS, cfg)
     eng.run(streams, cfg.maxSteps)
-    eng.allMatches
+    eng
   }
+  private lazy val coreFound = coreEngine.allMatches
 
   test("micro-batch Spark pipeline equals the core engine (batch = 1 timestamp)") {
     val ter = mkSparkTer()
@@ -46,6 +47,48 @@ class SparkTERSpec extends SparkSpec {
     val r2 = t2.runStreams(streams, batchTs = 37)
     assert(r1 == r2)
     assert(r1 == coreFound)
+  }
+
+  test("batch = 1 timestamp: a task tests every pair across timestamps") {
+    val ter = mkSparkTer()
+    assert(ter.runStreams(streams, batchTs = 1) == coreFound)
+    // Only the two arrivals of one timestamp meet on the driver.
+    assert(ter.stats.driverPairTests == cfg.maxSteps)
+    assert(ter.stats.taskPairTests + ter.stats.driverPairTests == coreEngine.stats.pairsTotal)
+    assert(ter.stats.batches == cfg.maxSteps)
+  }
+
+  test("one batch longer than the stream: the driver tests every pair") {
+    val ter = mkSparkTer()
+    assert(ter.runStreams(streams, batchTs = cfg.maxSteps + 1) == coreFound)
+    assert(ter.stats.taskPairTests == 0)
+    assert(ter.stats.driverPairTests == coreEngine.stats.pairsTotal)
+    assert(ter.stats.batches == 1)
+  }
+
+  test("a window segment lives exactly while a window references it") {
+    Seq(1, 7, 25, 79, 80, 200).foreach { batchTs =>
+      val ter = mkSparkTer()
+      ter.runStreams(streams, batchTs)
+      assert(ter.liveSegments == ter.referencedSegments, s"batchTs $batchTs")
+      // The last w timestamps span the last batch and at most ⌈(w − 1)/batchTs⌉ before it.
+      assert(ter.liveSegments <= (cfg.w - 1 + batchTs - 1) / batchTs + 1, s"batchTs $batchTs")
+    }
+    // A stream that ends early keeps the segments of its last window alive.
+    val c        = cfg.copy(w = 40)
+    val (sa, sb) = ERSynth.mask(b, c.xi, c.m)
+    val ter      = mkSparkTer(c)
+    ter.runStreams(Seq(sa.take(400), sb.take(120)), batchTs = 25)
+    assert(ter.liveSegments == ter.referencedSegments)
+    assert(ter.liveSegments == 4) // batches [75, 100) and [100, 125) for B, [350, 375) and [375, 400) for A
+  }
+
+  test("a batch that breaks whole timestamps is rejected") {
+    val rows = (0 until 4).flatMap(t => streams.map(s => RecordRow.of(s(t))))
+    val ter  = mkSparkTer()
+    assertThrows[IllegalArgumentException](ter.processBatch(rows.reverse))
+    ter.processBatch(rows.take(3)) // timestamps 0, 0, 1
+    assertThrows[IllegalArgumentException](ter.processBatch(rows.drop(3)))
   }
 
   test("window state never exceeds w per stream") {
