@@ -3,9 +3,9 @@ package repro.core
 import scala.annotation.unused
 import scala.collection.mutable
 import repro.cdd.Rule
-import repro.eval.{IjGer, Method, TERiDS}
-import repro.impute.{Imputer, Repo}
-import repro.index.{CDDIndex, DRIndex, ERGrid}
+import repro.eval.{ConEr, IjGer, Method, TERiDS}
+import repro.impute.{ImputePlan, Imputer, Repo}
+import repro.index.ERGrid
 
 /** TER-iDS query parameters (problem statement, §2.3 + Table 5). */
 final case class Params(keywords: Set[String], gamma: Double, alpha: Double, w: Int) {
@@ -96,26 +96,20 @@ final class Engine(
       TERiDS
     })
 
-  private val imputeKind = method.imputeKind
-  require(imputeKind == UseCon || repoOpt.isDefined, "rule-based imputation needs a repository")
+  require(method == ConEr || repoOpt.isDefined, "rule-based imputation needs a repository")
 
-  /** The CDD-index, ER-grid, prunes and neighbor memo of the index join. */
+  /** The ER-grid and prunes of the index join. */
   private val indexed = method == TERiDS || method == IjGer
 
   val stats = new RunStats
 
   private val keywords = params.keywordTokens
 
-  private val cddIndex: Option[CDDIndex] =
-    if (indexed) Some(new CDDIndex(rules, pivots, d)) else None
-  private val drIndex: Option[DRIndex] =
-    if (method == TERiDS) repoOpt.flatMap(Engine.drIndexFor) else None
+  /** The method's rule-based imputation; con+ER imputes from the window. */
+  private val plan: Option[ImputePlan] =
+    if (method == ConEr) None else Some(new ImputePlan(method, rules, repoOpt.get, pivots, keywords))
   private val grid: Option[ERGrid] =
     if (indexed) Some(new ERGrid(d, Engine.CellsPerDim)) else None
-
-  private val addSelectNanos: Long => Unit      = stats.cddSelectNanos += _
-  private val addSamplesChecked: Long => Unit   = stats.imputeSamplesChecked += _
-  private val addNeighborsChecked: Long => Unit = stats.neighborsChecked += _
 
   /** Grid traversals so far; tags which traversal visited a grid entry. */
   private var traversals = 0L
@@ -160,29 +154,13 @@ final class Engine(
     }
   }
 
-  private def imputeRecord(r: Record): ImputedTuple =
-    if (imputeKind != UseCon)
-      // The neighbor memo table belongs to the index infrastructure; naive
-      // baselines rescan the domain like the straightforward method (§2.3).
-      Imputer.impute(r, rules, repoOpt.get, cddIndex, drIndex, cached = indexed, addSelectNanos,
-        addSamplesChecked, addNeighborsChecked)
-    else if (r.isComplete) Imputer.imputeComplete(r)
-    else {
-      val complete = windows.get(r.sid).iterator.flatten
-        .collect { case (rec, _) if rec.isComplete => (rec.ts, rec.attrs.map(_.get)) }
-        .toVector
-      Imputer.imputeFromWindow(r, complete)
-    }
-
-  /** The imputation-quality counters of [[RunStats]] for one arrival. */
-  private def countImputation(r: Record, t: ImputedTuple): Unit = if (!r.isComplete) {
-    stats.imputedTuples += 1
-    r.missing.foreach { j =>
-      stats.imputedAttrs += 1
-      if (t.attrDists(j) == Vector((Imputer.missSentinel(r.rid, j), 1.0))) stats.sentinelFallbacks += 1
-    }
-    if (t.attrDists.iterator.map(_.size.toLong).product > Imputer.MaxInstances) stats.instanceCapBinds += 1
-    stats.droppedMass += 1.0 - t.instances.iterator.map(_.p).sum
+  /** con+ER: an arrival copies its stream's most recent complete tuple. */
+  private def sketchFromWindow(r: Record): TupleSketch = {
+    val t =
+      if (r.isComplete) Imputer.imputeComplete(r)
+      else Imputer.imputeFromWindow(r, windows(r.sid).collect { case (c, _) if c.isComplete => (c.ts, c.attrs.map(_.get)) },
+        stats)
+    TupleSketch.of(t, pivots, keywords)
   }
 
   /** Candidate matching for one arrival against the current windows. */
@@ -257,17 +235,19 @@ final class Engine(
 
   /** Advance one timestamp with one arrival per (subset of) stream(s). */
   def step(arrivals: Seq[Record]): Unit = {
+    // Eviction cuts each stream to w - 1 tuples once per arrival, so a second
+    // arrival of a stream in the same timestamp would overflow its window.
+    require(arrivals.map(_.sid).distinct.size == arrivals.size,
+      s"two arrivals of one stream at ts ${arrivals.head.ts}: a stream takes one arrival per timestamp")
     stats.steps += 1
     arrivals.foreach(r => evict(r.sid))
     arrivals.foreach { r =>
       val cddBefore = stats.cddSelectNanos
       val t0 = System.nanoTime()
-      val imputed = imputeRecord(r)
-      val sk      = TupleSketch.of(imputed, pivots, keywords)
-      // imputeRecord internally charges rule selection to cddSelectNanos;
-      // keep the two break-up buckets disjoint (Fig. 6).
+      val sk = plan.fold(sketchFromWindow(r))(_.sketch(r, stats))
+      // The plan charges rule selection to cddSelectNanos; keep the two
+      // break-up buckets disjoint (Fig. 6).
       stats.imputeNanos += (System.nanoTime() - t0) - (stats.cddSelectNanos - cddBefore)
-      countImputation(r, imputed)
       val t1 = System.nanoTime()
       matchArrival(sk)
       stats.erNanos += System.nanoTime() - t1
@@ -300,11 +280,4 @@ object Engine {
 
   /** ER-grid cells per dimension. */
   val CellsPerDim = 5
-
-  /** The DR-index the index join queries for `repo`, if it is large enough
-    * for the index to pay.
-    */
-  def drIndexFor(repo: Repo): Option[DRIndex] =
-    // The DR-index reads no pivots or vocabulary.
-    if (repo.size >= DrIndexMinRepo) Some(new DRIndex(repo, Pivots(Vector.empty), Set.empty)) else None
 }

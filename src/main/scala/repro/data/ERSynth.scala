@@ -194,8 +194,9 @@ object ERSynth {
   def groundTruth(base: Base, keywords: Set[String], gamma: Double, w: Int): Set[(Long, Long)] = {
     val tokA = base.trueA.map(_.map(Text.tokens))
     val tokB = base.trueB.map(_.map(Text.tokens))
-    val kwA  = tokA.map(_.exists(ts => ts.exists(keywords.contains)))
-    val kwB  = tokB.map(_.exists(ts => ts.exists(keywords.contains)))
+    val kw   = keywords.flatMap(k => Text.tokens(k)) // as `Params.keywordTokens`
+    val kwA  = tokA.map(_.exists(ts => ts.exists(kw.contains)))
+    val kwB  = tokB.map(_.exists(ts => ts.exists(kw.contains)))
     val out  = Set.newBuilder[(Long, Long)]
     var i = 0
     while (i < tokA.length) {

@@ -1,7 +1,8 @@
 package repro.impute
 
 import repro.cdd.Rule
-import repro.core.{ImputedTuple, Instance, Record, Text}
+import repro.core.{Engine, ImputedTuple, Instance, Pivots, Record, RunStats, Text, TupleSketch}
+import repro.eval.{ConEr, IjGer, Method, TERiDS}
 import repro.index.{CDDIndex, DRIndex}
 
 /** CDD-based imputation of incomplete tuples (§3, Eqs. 3–4), plus the
@@ -41,23 +42,19 @@ object Imputer {
     * `cached = false` recomputes every `cand(s[A_j])` domain scan — the
     * straightforward method's behavior (the memo table is part of our
     * index/synopsis infrastructure, withheld from the naive baselines).
-    * `samplesChecked` receives the number of `Rule.satisfiedBy` calls, and
-    * `neighborsChecked` the number of domain values verified with
-    * `Text.jdist` while expanding `cand(s[A_j])`.
+    * Books into `stats` the missing value, the `Rule.satisfiedBy` calls, the
+    * domain values verified with `Text.jdist` and any sentinel fallback.
     */
   def valueDistribution(r: Record, j: Int, rules: Seq[Rule], repo: Repo,
                         finder: SampleFinder, cached: Boolean = true,
-                        samplesChecked: Long => Unit = _ => (),
-                        neighborsChecked: Long => Unit = _ => ()): Vector[(String, Double)] = {
+                        stats: RunStats = new RunStats): Vector[(String, Double)] = {
     val rTok = recordTokens(r)
     val freq = new Array[Long](repo.doms(j).size) // Eq. 4 multiset over dom(A_j)
-    var checked   = 0L
-    var neighbors = 0L
-    val verified: Long => Unit = neighbors += _
+    val verified: Long => Unit = stats.neighborsChecked += _
     rules.iterator.filter(rule => rule.dep == j && rule.applicableTo(r)).foreach { rule =>
       finder(rule, r).foreach { si =>
         val sTok = repo.tokenRows(si)
-        checked += 1
+        stats.imputeSamplesChecked += 1
         if (rule.satisfiedBy(rTok, x => sTok(x))) {
           if (rule.depHi <= 1e-12) {
             // Editing-rule semantics: copy the sample's dependent value.
@@ -72,9 +69,8 @@ object Imputer {
         }
       }
     }
-    samplesChecked(checked)
-    neighborsChecked(neighbors)
-    normalize(freq, repo, r.rid, j)
+    stats.imputedAttrs += 1
+    normalize(freq, repo, r.rid, j, stats)
   }
 
   /** When no rule/sample can impute an attribute, the paper's tuple simply
@@ -84,11 +80,17 @@ object Imputer {
     */
   def missSentinel(rid: Long, j: Int): String = s"xmiss${rid}a$j"
 
-  private def normalize(freq: Array[Long], repo: Repo, rid: Long, j: Int): Vector[(String, Double)] = {
+  private def sentinel(rid: Long, j: Int, stats: RunStats): Vector[(String, Double)] = {
+    stats.sentinelFallbacks += 1
+    Vector((missSentinel(rid, j), 1.0))
+  }
+
+  private def normalize(freq: Array[Long], repo: Repo, rid: Long, j: Int,
+                        stats: RunStats): Vector[(String, Double)] = {
     var total = 0L
     var i     = 0
     while (i < freq.length) { total += freq(i); i += 1 }
-    if (total == 0L) Vector((missSentinel(rid, j), 1.0))
+    if (total == 0L) sentinel(rid, j, stats)
     else {
       val b = Vector.newBuilder[(String, Double)]
       i = 0
@@ -103,7 +105,14 @@ object Imputer {
   }
 
   /** Cross product of per-attribute distributions, capped deterministically. */
-  def assembleInstances(attrDists: Vector[Vector[(String, Double)]]): Vector[Instance] = {
+  def assembleInstances(attrDists: Vector[Vector[(String, Double)]]): Vector[Instance] =
+    assemble(attrDists, new RunStats)
+
+  /** [[assembleInstances]] for one imputed tuple, booked into `stats` with
+    * whether the cap binds and the mass it and the per-attribute cap drop.
+    */
+  private[impute] def assemble(attrDists: Vector[Vector[(String, Double)]], stats: RunStats): Vector[Instance] = {
+    stats.imputedTuples += 1
     var combos: Vector[(Vector[String], Double)] = Vector((Vector.empty, 1.0))
     attrDists.foreach { dist =>
       combos = for ((pre, p) <- combos; (v, vp) <- dist) yield (pre :+ v, p * vp)
@@ -112,38 +121,13 @@ object Imputer {
       if (combos.size > MaxInstances * MaxValuesPerAttr)
         combos = combos.sortBy { case (vs, p) => (-p, vs.mkString("")) }.take(MaxInstances * MaxValuesPerAttr)
     }
-    combos
+    if (combos.size > MaxInstances) stats.instanceCapBinds += 1
+    val kept = combos
       .sortBy { case (vs, p) => (-p, vs.mkString("")) }
       .take(MaxInstances)
       .map { case (vs, p) => Instance(vs, p) }
-  }
-
-  /** Rule-based imputation of a record (Alg. 2), shared by `Engine` and
-    * `SparkTER`: rule selection (CDD-index if given, else a linear filter,
-    * timed into `selectNanos`), sample retrieval (the DR-index if given,
-    * else the scan), then Eq. 4 distributions (`cached`, `samplesChecked`
-    * and `neighborsChecked` as in [[valueDistribution]]) and the capped
-    * instances.
-    */
-  def impute(r: Record, rules: Seq[Rule], repo: Repo,
-             cddIndex: Option[CDDIndex] = None, drIndex: Option[DRIndex] = None,
-             cached: Boolean = true, selectNanos: Long => Unit = _ => (),
-             samplesChecked: Long => Unit = _ => (),
-             neighborsChecked: Long => Unit = _ => ()): ImputedTuple = {
-    if (r.isComplete) return imputeComplete(r)
-    val t0 = System.nanoTime()
-    val selected = r.missing.map { j =>
-      j -> cddIndex.fold(rules.filter(rule => rule.dep == j && rule.applicableTo(r)))(_.select(r, j))
-    }.toMap
-    selectNanos(System.nanoTime() - t0)
-    val finder = drIndex.fold(allSamples(repo))(_.finderFor(r))
-    val dists = r.attrs.indices.map { j =>
-      r.attrs(j) match {
-        case Some(v) => Vector((v, 1.0))
-        case None    => valueDistribution(r, j, selected(j), repo, finder, cached, samplesChecked, neighborsChecked)
-      }
-    }.toVector
-    ImputedTuple(r.rid, r.sid, r.ts, dists, assembleInstances(dists))
+    stats.droppedMass += 1.0 - kept.iterator.map(_.p).sum
+    kept
   }
 
   /** A complete record is its own single-instance imputed tuple. */
@@ -160,7 +144,8 @@ object Imputer {
     * observation, no semantic association between attribute values (hence
     * its constant cost and worst accuracy in Fig. 5).
     */
-  def imputeFromWindow(r: Record, windowComplete: Iterable[(Long, Vector[String])]): ImputedTuple = {
+  def imputeFromWindow(r: Record, windowComplete: Iterable[(Long, Vector[String])],
+                       stats: RunStats): ImputedTuple = {
     var best: Vector[String] = null
     var bestTs               = Long.MinValue
     windowComplete.foreach { case (ts, cand) =>
@@ -168,11 +153,54 @@ object Imputer {
     }
     val dists = r.attrs.indices.map { j =>
       r.attrs(j) match {
-        case Some(v)              => Vector((v, 1.0))
-        case None if best != null => Vector((best(j), 1.0))
-        case None                 => Vector((missSentinel(r.rid, j), 1.0))
+        case Some(v) => Vector((v, 1.0))
+        case None =>
+          stats.imputedAttrs += 1
+          if (best != null) Vector((best(j), 1.0)) else sentinel(r.rid, j, stats)
       }
     }.toVector
-    ImputedTuple(r.rid, r.sid, r.ts, dists, assembleInstances(dists))
+    ImputedTuple(r.rid, r.sid, r.ts, dists, assemble(dists, stats))
+  }
+}
+
+/** How a rule-based §6.1 method imputes and sketches an arrival (Alg. 2):
+  *  - TER-iDS: rules from the CDD-index `I_j`, samples from the DR-index
+  *    `I_R` once |R| ≥ `Engine.DrIndexMinRepo` (else the scan), and
+  *    `cand(s[A_j])` through the neighbor memo;
+  *  - Ij+GER: the CDD-index, the repository scan and the memo;
+  *  - CDD+ER, DD+ER, er+ER: the linear rule filter, the scan and the
+  *    uncached domain scan of the straightforward method (§2.3).
+  * con+ER imputes from the window (`Imputer.imputeFromWindow`) and has no
+  * plan. `keywords` are the query keywords as tokens.
+  */
+final class ImputePlan(method: Method, rules: Seq[Rule], repo: Repo, pivots: Pivots, keywords: Set[String])
+    extends Serializable {
+  require(method != ConEr, "con+ER imputes from the window, not by rules")
+
+  private val indexed  = method == TERiDS || method == IjGer
+  private val cddIndex = if (indexed) Some(new CDDIndex(rules, pivots, repo.d)) else None
+  private val drIndex  =
+    if (method == TERiDS && repo.size >= Engine.DrIndexMinRepo) Some(new DRIndex(repo, pivots, Set.empty)) else None
+
+  /** Impute r and sketch it. Books into `stats` the rule-selection time
+    * (`cddSelectNanos`), the samples and domain values verified, and the
+    * imputation-quality counters of an incomplete r.
+    */
+  def sketch(r: Record, stats: RunStats): TupleSketch = {
+    val t =
+      if (r.isComplete) Imputer.imputeComplete(r)
+      else {
+        val t0       = System.nanoTime()
+        val selected = r.missing.map { j =>
+          j -> cddIndex.fold(rules.filter(rule => rule.dep == j && rule.applicableTo(r)))(_.select(r, j))
+        }.toMap
+        stats.cddSelectNanos += System.nanoTime() - t0
+        val finder = drIndex.fold(Imputer.allSamples(repo))(_.finderFor(r))
+        val dists = r.attrs.indices.map { j =>
+          r.attrs(j).fold(Imputer.valueDistribution(r, j, selected(j), repo, finder, indexed, stats))(v => Vector((v, 1.0)))
+        }.toVector
+        ImputedTuple(r.rid, r.sid, r.ts, dists, Imputer.assemble(dists, stats))
+      }
+    TupleSketch.of(t, pivots, keywords)
   }
 }

@@ -6,8 +6,8 @@ import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import repro.cdd.Rule
 import repro.core._
-import repro.impute.{Imputer, Repo}
-import repro.index.{CDDIndex, DRIndex}
+import repro.eval.TERiDS
+import repro.impute.{ImputePlan, Repo}
 
 /** An arrival as it enters Spark. A `null` attribute element encodes a
   * missing value ("–" in the paper).
@@ -34,9 +34,9 @@ final class SparkStats {
 
 /** Micro-batch TER-iDS on Spark, a thin layer over `Engine`'s functions
   * (DESIGN.md "Layering note"). Each batch is one Spark job: a task imputes
-  * and sketches its arrivals, as `Engine` does, and tests each with
-  * `Pruning.testPair` against the window positions that existed before the
-  * batch. The driver then tests each arrival against the earlier arrivals
+  * and sketches its arrivals with TER-iDS's `ImputePlan`, as `Engine` does,
+  * and tests each with `Pruning.testPair` against the window positions that
+  * existed before the batch. The driver then tests each arrival against the earlier arrivals
   * of other streams in the same batch.
   *
   * The windows stay in this object, outside Spark, and follow `Engine.step`'s
@@ -49,11 +49,11 @@ final class SparkStats {
   * A window holds references into segments: each batch's sketches are
   * broadcast once, as one segment, and a segment is destroyed as soon as no
   * window references it. So a task's closure carries segment handles and
-  * index arrays, not sketches. `vocab` is unused.
+  * index arrays, not sketches. `d` and `vocab` are unused.
   */
 final class SparkTER(
     spark: SparkSession,
-    d: Int,
+    @unused d: Int,
     rules: Seq[Rule],
     repo: Repo,
     pivots: Pivots,
@@ -64,12 +64,11 @@ final class SparkTER(
 
   private val sc = spark.sparkContext
 
-  private val sketcher = Sketcher(rules, repo, new CDDIndex(rules, pivots, d),
-    Engine.drIndexFor(repo), pivots, params.keywordTokens)
+  private val plan = new ImputePlan(TERiDS, rules, repo, pivots, params.keywordTokens)
 
   // Broadcast on first use: the repository and indexes reach the tasks once,
   // not with every batch's closure.
-  private lazy val sketcherBc: Broadcast[Sketcher] = sc.broadcast(sketcher)
+  private lazy val planBc: Broadcast[ImputePlan] = sc.broadcast(plan)
 
   /** Per-stream windows, oldest first. */
   private val windows  = mutable.Map.empty[Int, Vector[Slot]]
@@ -96,6 +95,8 @@ final class SparkTER(
       s"last ts $lastTs: a timestamp must reach processBatch whole")
     require(records.iterator.zip(records.iterator.drop(1)).forall { case (a, b) => a.ts <= b.ts },
       "timestamps decrease within a batch: processBatch takes whole timestamps in order")
+    require(records.map(r => (r.ts, r.sid)).distinct.size == records.size,
+      "two arrivals of one stream in one timestamp: a stream takes one arrival per timestamp")
     lastTs = records.last.ts
     stats.batches += 1
 
@@ -118,13 +119,14 @@ final class SparkTER(
     }
 
     // One job: sketch each arrival and test it against the pre-batch windows.
-    val (bc, k, gamma, alpha) = (sketcherBc, params.keywordTokens, params.gamma, params.alpha)
+    val (bc, k, gamma, alpha) = (planBc, params.keywordTokens, params.gamma, params.alpha)
     val view = View.of(segments, sids.map(s => windows.getOrElse(s, Vector.empty)))
     val t0 = System.nanoTime()
     val results = sc.parallelize(records.zip(probes), sc.defaultParallelism).mapPartitions { it =>
-      val old = view.resolve()
+      val old     = view.resolve()
+      val scratch = new RunStats // SparkTER keeps no imputation ledger
       it.map { case (row, p) =>
-        val q       = bc.value.sketch(row)
+        val q       = bc.value.sketch(row.toRecord, scratch)
         val qHasKw  = q.hasAnyKeyword(k)
         val matches = Array.newBuilder[(Long, Long)]
         var tests   = 0
@@ -196,13 +198,6 @@ final class SparkTER(
 }
 
 object SparkTER {
-
-  /** What a task needs to impute and sketch an arrival as `Engine` does. */
-  private[spark] final case class Sketcher(rules: Seq[Rule], repo: Repo, cddIndex: CDDIndex,
-                                           drIndex: Option[DRIndex], pivots: Pivots, keywords: Set[String]) {
-    def sketch(row: RecordRow): TupleSketch =
-      TupleSketch.of(Imputer.impute(row.toRecord, rules, repo, Some(cddIndex), drIndex), pivots, keywords)
-  }
 
   /** One batch's sketches, broadcast once; `sketches` is the driver's copy.
     * Not serializable, so no closure can capture the sketches by mistake.

@@ -24,7 +24,8 @@ import repro.spark.{RecordRow, SparkTER}
   * flushes it: a caller that reads mid-timestamp and then feeds the rest of
   * that timestamp gets `SparkTER`'s `IllegalArgumentException` (from
   * `allMatches`, or from `feed` wrapped in the query's failure), not windows
-  * that differ from `Engine`'s.
+  * that differ from `Engine`'s; so does a feed of two rows of one stream at
+  * one `ts`.
   */
 final class StreamingTER(
     spark: SparkSession,

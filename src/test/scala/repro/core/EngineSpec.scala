@@ -126,22 +126,29 @@ class EngineSpec extends AnyFunSuite {
       s"TER-iDS ${ter.stats.imputeSamplesChecked} vs Ij+GER ${ij.stats.imputeSamplesChecked} samples checked")
   }
 
-  test("the imputation-quality counters equal a recount with Imputer.impute on the same records") {
+  test("the imputation-quality counters equal an independent recount") {
     // Values per attribute past Imputer.MaxValuesPerAttr drop mass here.
     val songs = ExpConfig(ERSynth.Songs, eta = 0.5, xi = 0.8, m = 3, w = 60, maxSteps = 300)
     val b     = Harness.base(songs.profile)
     val (sa, sb) = ERSynth.mask(b, songs.xi, songs.m)
     val rules = Harness.rules(songs.profile, songs.eta, UseCDD)
     val repo  = new Repo(Harness.repo(songs.profile, songs.eta).rows)
+    val scan  = Imputer.allSamples(repo)
     val recs  = Seq(sa, sb).flatMap(_.take(songs.maxSteps)).filterNot(_.isComplete)
-    val imputed = recs.map(r => r -> Imputer.impute(r, rules, repo))
+    // Each record imputed by the scan over every rule, its counters read
+    // off the output.
+    val imputed = recs.map { r =>
+      val dists = r.attrs.indices.map(j =>
+        r.attrs(j).fold(Imputer.valueDistribution(r, j, rules, repo, scan))(v => Vector((v, 1.0)))).toVector
+      r -> ImputedTuple(r.rid, r.sid, r.ts, dists, Imputer.assembleInstances(dists))
+    }
     val sentinels = imputed.map { case (r, t) =>
       r.missing.count(j => t.attrDists(j) == Vector((Imputer.missSentinel(r.rid, j), 1.0)))
     }.sum
     val capBinds = imputed.count { case (_, t) => t.attrDists.map(_.size.toLong).product > Imputer.MaxInstances }
     val dropped  = imputed.map { case (_, t) => 1.0 - t.instances.map(_.p).sum }.sum
     assert(sentinels > 0 && sentinels < recs.map(_.missing.size).sum && dropped > 0.1)
-    Seq(TERiDS, CddEr).foreach { m =>
+    Seq(TERiDS, IjGer, CddEr).foreach { m =>
       val s = Harness.run(m, songs).stats
       assert(s.imputedTuples == recs.size, m)
       assert(s.imputedAttrs == recs.map(_.missing.size).sum, m)
@@ -173,6 +180,13 @@ class EngineSpec extends AnyFunSuite {
     assert(counters(viaFlags.stats) == counters(viaMethod.stats))
     assert(viaMethod.stats.imputeSamplesChecked > 0)
     intercept[IllegalArgumentException](flags(grid = false))
+  }
+
+  test("two arrivals of one stream in one timestamp are rejected") {
+    val eng = Harness.engineFor(TERiDS, cfg)
+    val (sa, sb) = ERSynth.mask(Harness.base(cfg.profile), cfg.xi, cfg.m)
+    eng.step(Seq(sa(0), sb(0)))
+    intercept[IllegalArgumentException](eng.step(Seq(sa(1), sb(1), sa(2))))
   }
 
   test("window size never exceeds w") {

@@ -87,6 +87,11 @@ class ERSynthSpec extends AnyFunSuite {
     }
   }
 
+  test("ground truth compares keywords as tokens, in any case") {
+    val upper = ERSynth.groundTruth(base, Set("TOPIC0"), gamma = 2.0, w = 200)
+    assert(upper.nonEmpty && upper == ERSynth.groundTruth(base, Set("topic0"), gamma = 2.0, w = 200))
+  }
+
   test("ground truth grows with the window and shrinks with gamma") {
     val kws = ERSynth.defaultKeywords(base)
     val t1  = ERSynth.groundTruth(base, kws, 2.0, 100)

@@ -58,6 +58,26 @@ object Draw {
     seed     <- Gen.choose(0L, 1000L)
     batchTs  <- Gen.choose(1, 30)
   } yield Draw(profile, eta, xi, m, alpha, rho, w, keywords, lens, seed, batchTs)
+
+  /** Keyword-free tuples that span several ER-grid cells, next to topical
+    * cells pruned on similarity: most tuples miss two or more values, so
+    * their imputed boxes span cells; six to twelve topic words make about
+    * half the tuples topical, so most cells hold a topical member; a high γ
+    * prunes many of those cells on similarity. Where such a tuple's cells
+    * differ in outcome, only counting it in its first cell gives the
+    * member loop's counters.
+    */
+  val multiCell: Gen[Draw] = for {
+    profile  <- Gen.oneOf(ERSynth.All)
+    eta      <- Gen.oneOf(0.3, 0.5)
+    xi       <- Gen.choose(0.7, 1.0)
+    m        <- Gen.choose(2, profile.d)
+    alpha    <- Gen.choose(0.05, 0.95)
+    rho      <- Gen.choose(0.4, 0.7)
+    lens     <- Gen.listOfN(3, Gen.choose(60, 100)).map(_.toVector)
+    keywords <- Gen.choose(6, 12).map(n => (0 until n).map(i => s"topic$i").toSet)
+    seed     <- Gen.choose(0L, 1000L)
+  } yield Draw(profile, eta, xi, m, alpha, rho, lens.max + 1, keywords, lens, seed, 1)
 }
 
 /** Differential check of the engines on random configurations: every prune
@@ -80,12 +100,15 @@ object EngineDiffProps extends Properties("EngineDiff") {
   * which book the keyword-free members of a cell by count, give the pairs
   * and pruning counters of the member-by-member loop over every cell. A
   * miscounted member shows only in draws where its cells differ in outcome,
-  * so this property takes more draws.
+  * so half the draws come from `Draw.multiCell`, and this property takes
+  * more draws.
   */
 object GridCounterProps extends Properties("GridCounters") {
   override def overrideParameters(p: Test.Parameters): Test.Parameters = p.withMinSuccessfulTests(400)
 
-  property("TER-iDS and Ij+GER counters equal the member-by-member loop") = Prop.forAllNoShrink(Draw.gen) { d =>
+  private val draws = Gen.oneOf(Draw.gen, Draw.multiCell)
+
+  property("TER-iDS and Ij+GER counters equal the member-by-member loop") = Prop.forAllNoShrink(draws) { d =>
     val p = d.profile
     Prop.all(Seq(TERiDS, IjGer).map { m =>
       val eng = d.engine(m)

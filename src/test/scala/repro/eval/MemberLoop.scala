@@ -3,8 +3,8 @@ package repro.eval
 import scala.collection.mutable
 import repro.cdd.Rule
 import repro.core._
-import repro.impute.{Imputer, Repo}
-import repro.index.{CDDIndex, ERGrid}
+import repro.impute.{ImputePlan, Repo}
+import repro.index.ERGrid
 
 /** Reference for the index join's counters: `Engine.step` for TER-iDS or
   * Ij+GER, with the candidate loop the engine ran before the ER-grid split
@@ -17,10 +17,9 @@ final class MemberLoop(d: Int, rules: Seq[Rule], repo: Repo, pivots: Pivots, par
 
   val stats = new RunStats
 
-  private val k        = params.keywordTokens
-  private val cddIndex = new CDDIndex(rules, pivots, d)
-  private val drIndex  = if (method == TERiDS) Engine.drIndexFor(repo) else None
-  private val grid     = new ERGrid(d, Engine.CellsPerDim)
+  private val k    = params.keywordTokens
+  private val plan = new ImputePlan(method, rules, repo, pivots, k)
+  private val grid = new ERGrid(d, Engine.CellsPerDim)
 
   private val windows   = mutable.Map.empty[Int, mutable.ArrayDeque[TupleSketch]]
   private val es        = mutable.Set.empty[(Long, Long)]
@@ -82,7 +81,7 @@ final class MemberLoop(d: Int, rules: Seq[Rule], repo: Repo, pivots: Pivots, par
     stats.steps += 1
     arrivals.foreach(r => evict(r.sid))
     arrivals.foreach { r =>
-      val sk = TupleSketch.of(Imputer.impute(r, rules, repo, Some(cddIndex), drIndex), pivots, k)
+      val sk = plan.sketch(r, stats)
       matchArrival(sk)
       windows.getOrElseUpdate(r.sid, mutable.ArrayDeque.empty) += sk
       grid.insert(sk)

@@ -2,7 +2,8 @@ package repro.impute
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cdd.{DistRange, Rule, ValueEq}
-import repro.core.{Record, TextRef}
+import repro.core.{Pivots, Record, RunStats, TextRef}
+import repro.eval.CddEr
 
 /** Eq. (3)/(4) semantics, mirroring the structure of the paper's Examples
   * 3–4 on a textual repository.
@@ -24,6 +25,7 @@ class ImputerSpec extends AnyFunSuite {
   // CDD₁: A B → C, {a1, [0, 0.5], [0, 0.35]}
   private val cdd1 = Rule(2, Map(0 -> ValueEq("a1"), 1 -> DistRange(0.0, 0.5)), 0.0, 0.35)
   private val all  = Imputer.allSamples(repo)
+  private val piv  = Pivots(rows.head.map(Vector(_)))
   private val rIncomplete = Record(10, 0, 0, Vector(Some("a1"), Some("b1 b2 b3"), None))
 
   test("single-CDD imputation gathers candidates from satisfying samples (Eq. 3)") {
@@ -105,21 +107,33 @@ class ImputerSpec extends AnyFunSuite {
   }
 
   test("impute keeps non-missing attributes certain") {
-    val t = Imputer.impute(rIncomplete, Seq(cdd1), repo)
+    val t = new ImputePlan(CddEr, Seq(cdd1), repo, piv, Set.empty).sketch(rIncomplete, new RunStats).t
     assert(t.attrDists(0) == Vector(("a1", 1.0)))
     assert(t.attrDists(1) == Vector(("b1 b2 b3", 1.0)))
     assert(t.attrDists(2).size == 2)
   }
 
+  test("imputation books its quality ledger where each value is decided") {
+    val plan  = new ImputePlan(CddEr, Seq(cdd1), repo, piv, Set.empty)
+    val stats = new RunStats
+    plan.sketch(rIncomplete, stats) // two values at p = 0.5, nothing dropped
+    plan.sketch(Record(11, 0, 0, Vector(Some("a9"), Some("b1 b2 b3"), None)), stats) // no sample holds a9
+    plan.sketch(Record(12, 0, 0, rows(0).map(Some(_))), stats) // complete: not imputed
+    Imputer.imputeFromWindow(rIncomplete, Seq.empty, stats) // con+ER without a complete tuple
+    assert(stats.imputedTuples == 3 && stats.imputedAttrs == 3 && stats.sentinelFallbacks == 2)
+    assert(stats.instanceCapBinds == 0 && stats.droppedMass == 0.0)
+    assert(stats.imputeSamplesChecked == 2 * repo.size) // the naive plan scans R for each missing value
+  }
+
   test("imputeFromWindow copies from the most recent complete tuple (con+ER)") {
     val w = Seq((3L, Vector("x", "y", "z")), (9L, Vector("p", "q", "r")), (5L, Vector("m", "n", "o")))
-    val t = Imputer.imputeFromWindow(rIncomplete, w)
+    val t = Imputer.imputeFromWindow(rIncomplete, w, new RunStats)
     assert(t.attrDists(2) == Vector(("r", 1.0))) // from ts=9
     assert(t.attrDists(0) == Vector(("a1", 1.0)))
   }
 
   test("imputeFromWindow falls back to the sentinel when the window has no complete tuple") {
-    val t = Imputer.imputeFromWindow(rIncomplete, Seq.empty)
+    val t = Imputer.imputeFromWindow(rIncomplete, Seq.empty, new RunStats)
     assert(t.attrDists(2) == Vector((Imputer.missSentinel(10, 2), 1.0)))
   }
 }

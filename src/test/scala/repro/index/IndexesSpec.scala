@@ -2,8 +2,8 @@ package repro.index
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
-import repro.cdd.{RuleMiner, ValueEq}
-import repro.core.{Pivots, Record}
+import repro.cdd.{Rule, RuleMiner, ValueEq}
+import repro.core.{ImputedTuple, Pivots, Record, RunStats}
 import repro.data.ERSynth
 import repro.impute.{Imputer, Repo}
 import repro.pivot.PivotSelector
@@ -24,6 +24,19 @@ class IndexesSpec extends AnyFunSuite {
 
   private def randomRecords(n: Int, xi: Double, m: Int): Seq[Record] =
     ERSynth.mask(base, xi, m)._1.take(n)
+
+  /** r imputed with the given rule selection and sample retrieval (the
+    * neighbor memo on); `stats` receives the samples checked.
+    */
+  private def impute(r: Record, select: Int => Seq[Rule], finder: Imputer.SampleFinder,
+                     stats: RunStats = new RunStats): ImputedTuple = {
+    val dists = r.attrs.indices.map { j =>
+      r.attrs(j).fold(Imputer.valueDistribution(r, j, select(j), repo, finder, stats = stats))(v => Vector((v, 1.0)))
+    }.toVector
+    ImputedTuple(r.rid, r.sid, r.ts, dists, Imputer.assembleInstances(dists))
+  }
+  private val allRules: Int => Seq[Rule] = _ => rules
+  private lazy val scan = Imputer.allSamples(repo)
 
   test("CDD-index select equals the linear applicable-rule filter") {
     randomRecords(150, xi = 0.6, m = 1).foreach { r =>
@@ -68,9 +81,9 @@ class IndexesSpec extends AnyFunSuite {
     for (m <- Seq(1, 2)) {
       val recs = randomRecords(60, xi = 0.7, m = m).filter(_.missing.nonEmpty)
       recs.foreach { r =>
-        val linear  = Imputer.impute(r, rules, repo)
-        val indexed = Imputer.impute(r, rules, repo, drIndex = Some(drIdx))
-        val both    = Imputer.impute(r, rules, repo, Some(cddIdx), Some(drIdx))
+        val linear  = impute(r, allRules, scan)
+        val indexed = impute(r, allRules, drIdx.finderFor(r))
+        val both    = impute(r, cddIdx.select(r, _), drIdx.finderFor(r))
         assert(linear.attrDists == indexed.attrDists, s"m=$m rid=${r.rid}")
         assert(linear.instances == indexed.instances)
         assert(linear.attrDists == both.attrDists, s"CDD-index path, m=$m rid=${r.rid}")
@@ -95,13 +108,13 @@ class IndexesSpec extends AnyFunSuite {
 
   test("the DR-index verifies far fewer samples than the scan, with identical distributions") {
     val recs = randomRecords(100, xi = 0.8, m = 2).filter(_.missing.nonEmpty)
-    var scanned = 0L
-    var indexed = 0L
+    val (scanned, indexed) = (new RunStats, new RunStats)
     recs.foreach { r =>
-      val linear = Imputer.impute(r, rules, repo, samplesChecked = scanned += _)
-      val viaIdx = Imputer.impute(r, rules, repo, drIndex = Some(drIdx), samplesChecked = indexed += _)
+      val linear = impute(r, allRules, scan, scanned)
+      val viaIdx = impute(r, allRules, drIdx.finderFor(r), indexed)
       assert(linear.attrDists == viaIdx.attrDists, s"rid=${r.rid}")
     }
-    assert(scanned > 0 && indexed * 10 < scanned, s"index $indexed vs scan $scanned samples checked")
+    val (s, i) = (scanned.imputeSamplesChecked, indexed.imputeSamplesChecked)
+    assert(s > 0 && i * 10 < s, s"index $i vs scan $s samples checked")
   }
 }

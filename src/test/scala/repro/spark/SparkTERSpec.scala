@@ -91,6 +91,14 @@ class SparkTERSpec extends SparkSpec {
     assertThrows[IllegalArgumentException](ter.processBatch(rows.drop(3)))
   }
 
+  test("two arrivals of one stream in one timestamp are rejected") {
+    val rows = streams.map(s => RecordRow.of(s(0)))
+    val ter  = mkSparkTer()
+    assertThrows[IllegalArgumentException](ter.processBatch(rows :+ RecordRow.of(streams(0)(1)).copy(ts = 0)))
+    ter.processBatch(rows) // the rejected batch consumed nothing, so timestamp 0 is still open
+    assert(ter.stats.batches == 1)
+  }
+
   test("window state never exceeds w per stream") {
     val ter = mkSparkTer()
     ter.runStreams(streams, batchTs = 50)
