@@ -9,6 +9,26 @@ import repro.core.{Record, Text}
 sealed trait Constraint
 final case class DistRange(lo: Double, hi: Double) extends Constraint {
   require(lo >= 0 && lo < hi + 1e-12, s"bad interval [$lo,$hi]")
+
+  /** Is Jaccard distance `dd` in `[lo, hi]`, with the 1e-12 slack? */
+  def holds(dd: Double): Boolean = dd >= lo - 1e-12 && dd <= hi + 1e-12
+
+  /** The least overlap `i ≤ top` at which two token sets with `n > 0` tokens
+    * between them lie within `hi`: the least `i` with
+    * `1.0 - i.toDouble / (n - i) <= hi + 1e-12`, which is [[holds]]'s upper
+    * test on `Text.jdist` written for the overlap. The left side never rises
+    * as `i` grows, so a binary search finds it; `top + 1` if no `i ≤ top`
+    * qualifies.
+    */
+  def need(n: Int, top: Int): Int = {
+    var lo = 0
+    var hi = top + 1
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (1.0 - mid.toDouble / (n - mid) <= this.hi + 1e-12) hi = mid else lo = mid + 1
+    }
+    lo
+  }
 }
 final case class ValueEq(v: String) extends Constraint {
   lazy val tokens: Array[String] = Text.tokens(v)
@@ -31,22 +51,27 @@ final case class Rule(dep: Int, det: Map[Int, Constraint], depLo: Double, depHi:
     r.attrs(dep).isEmpty && det.keysIterator.forall(x => r.attrs(x).isDefined)
 
   /** `(r, s) ≍ φ[X]`: does the (record, sample) pair satisfy all determinant
-    * constraints? `sTokens(x)` are the sample's token arrays per attribute.
+    * constraints? `r(x)` is the record's probe table on attribute x, `s(x)`
+    * the sample's tokens and `sh(x)` their hashes (`Text.hashes`).
+    *
+    * A `DistRange` asks the probe for the overlap [[DistRange.need]] puts
+    * within `hi`, so the probe stops once the sample's misses rule it out,
+    * and a sample with too few tokens is not probed (Lemma 4.1). A sample
+    * that reaches it gets its exact overlap, so the distance, and with it
+    * the decision, is `Text.jdist`'s bit for bit.
     */
-  def satisfiedBy(rTokens: Int => Array[String], sTokens: Int => Array[String]): Boolean =
+  def satisfiedBy(r: Array[Text.Probe], s: Array[Array[String]], sh: Array[Array[Int]]): Boolean =
     det.forall {
-      case (x, DistRange(lo, hi)) =>
-        val a = rTokens(x)
-        val b = sTokens(x)
-        // Lemma 4.1: 1 − min/max token count bounds the distance from below
-        // (and rounds no higher than the distance), so a pair it puts above
-        // `hi` skips the merge.
-        val big = math.max(a.length, b.length)
-        (big == 0 || 1.0 - math.min(a.length, b.length).toDouble / big <= hi + 1e-9) && {
-          val dd = Text.jdist(a, b)
-          dd >= lo - 1e-12 && dd <= hi + 1e-12
+      case (x, g: DistRange) =>
+        val p = r(x)
+        val n = p.size + s(x).length
+        if (n == 0) g.holds(0.0) // J(∅, ∅) = 1
+        else {
+          val need  = g.need(n, math.min(p.size, s(x).length))
+          val inter = p.overlap(s(x), sh(x), need)
+          inter >= need && g.holds(1.0 - inter.toDouble / (n - inter))
         }
       case (x, v: ValueEq) =>
-        Text.same(rTokens(x), v.tokens) && Text.same(sTokens(x), v.tokens)
+        Text.same(r(x).tokens, v.tokens) && Text.same(s(x), v.tokens)
     }
 }

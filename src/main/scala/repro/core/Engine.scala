@@ -9,6 +9,10 @@ import repro.index.ERGrid
 
 /** TER-iDS query parameters (problem statement, §2.3 + Table 5). */
 final case class Params(keywords: Set[String], gamma: Double, alpha: Double, w: Int) {
+  require(w >= 1, s"window size w = $w: a window holds at least one tuple")
+  require(alpha >= 0 && alpha <= 1, s"alpha = $alpha: a probability threshold lies in [0, 1]")
+  require(gamma >= 0 && !gamma.isInfinite, s"gamma = $gamma: a similarity threshold is finite and >= 0")
+
   /** The keywords as tokens (`Text.tokens`), the form values are compared in. */
   val keywordTokens: Set[String] = keywords.flatMap(k => Text.tokens(k))
 }
@@ -21,9 +25,10 @@ case object UseEdit extends ImputeKind // editing rules [12]
 case object UseCon  extends ImputeKind // constraint/window-based [43], no repository
 
 /** Per-run counters: pruning power (Fig. 4), break-up cost (Fig. 6), and
-  * wall-clock accounting (Figs. 5b, 7–10, 16–17).
+  * wall-clock accounting (Figs. 5b, 7–10, 16–17). Serializable so that a
+  * Spark task can return its imputation counters.
   */
-final class RunStats {
+final class RunStats extends Serializable {
   var steps: Long                = 0
   var pairsTotal: Long           = 0
   var prunedKeyword: Long        = 0

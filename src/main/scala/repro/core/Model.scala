@@ -13,6 +13,12 @@ final case class Record(rid: Long, sid: Int, ts: Long, attrs: Vector[Option[Stri
   def missing: Vector[Int]   = attrs.indices.filter(attrs(_).isEmpty).toVector
   def isComplete: Boolean    = attrs.forall(_.isDefined)
   def apply(j: Int): Option[String] = attrs(j)
+
+  /** Per attribute, the value's tokens in a probe table (no tokens for a
+    * missing value): the record side of `Rule.satisfiedBy`, built once per
+    * imputed arrival.
+    */
+  def probes: Array[Text.Probe] = attrs.iterator.map(v => new Text.Probe(v.fold(Text.Empty)(Text.tokens))).toArray
 }
 
 /** One possible complete world of an imputed tuple, with existence prob. */
@@ -38,14 +44,27 @@ final case class Instance(attrs: Vector[String], p: Double) {
     s
   }
 
-  /** `sim(o) > gamma`, stopping once the attributes merged so far plus the
-    * Lemma 4.1 size bounds of the rest cannot exceed `gamma`. The sum runs
-    * in `sim`'s order, so a pair that is not cut short gets `sim`'s value.
+  /** Per attribute, the tokens' hashes (`Text.hashes`): this instance as
+    * the candidate side of [[simExceeds]]. Transient like `tokens`.
+    */
+  @transient lazy val hashes: Array[Array[Int]] = tokens.map(Text.hashes)
+
+  /** Per attribute, the tokens in a probe table: this instance as the query
+    * side of [[simExceeds]]. Transient like `tokens`.
+    */
+  @transient lazy val probes: Array[Text.Probe] = tokens.map(new Text.Probe(_))
+
+  /** `sim(o) > gamma`, stopping once the attributes probed so far plus the
+    * Lemma 4.1 size bounds of the rest cannot exceed `gamma`. Each term is
+    * `Text.jaccard`'s, bit for bit, from this instance's probe tables and
+    * o's hashes, and the sum runs in `sim`'s order, so a pair that is not
+    * cut short gets `sim`'s value.
     */
   def simExceeds(o: Instance, gamma: Double): Boolean = {
-    val a = tokens
-    val b = o.tokens
-    def sizeUB(j: Int): Double = Pruning.ubSimSizeAttr(a(j).length, a(j).length, b(j).length, b(j).length)
+    val a  = probes
+    val b  = o.tokens
+    val bh = o.hashes
+    def sizeUB(j: Int): Double = Pruning.ubSimSizeAttr(a(j).size, a(j).size, b(j).length, b(j).length)
     var rest = 0.0
     var j    = 0
     while (j < a.length) { rest += sizeUB(j); j += 1 }
@@ -55,7 +74,7 @@ final case class Instance(attrs: Vector[String], p: Double) {
       // 1e-9 absorbs the rounding of the running sums.
       if (s + rest <= gamma - 1e-9) return false
       rest -= sizeUB(j)
-      s += Text.jaccard(a(j), b(j))
+      s += a(j).jaccard(b(j), bh(j))
       j += 1
     }
     s > gamma

@@ -85,4 +85,78 @@ object Text {
 
   /** Jaccard distance (1 - similarity); a metric on token sets. */
   def jdist(a: Array[String], b: Array[String]): Double = 1.0 - jaccard(a, b)
+
+  /** The `String.hashCode` of each token, in the array's order. */
+  def hashes(a: Array[String]): Array[Int] = {
+    val h = new Array[Int](a.length)
+    var i = 0
+    while (i < a.length) { h(i) = a(i).hashCode; i += 1 }
+    h
+  }
+
+  /** Exact intersection of one fixed query token array with many
+    * candidates, the verification step of PPJoin (Xiao et al., WWW 2008).
+    * The query's hashes sit in an open-addressing table, at most half full;
+    * a candidate token is looked up by its precomputed hash, and its String
+    * is compared only when the hashes are equal. Tokens are distinct within
+    * an array, so the count of found candidate tokens is `|q ∩ c|`, the
+    * count of [[jaccard]]'s merge, hash collisions (`"ac0"`/`"aan"`)
+    * included.
+    */
+  final class Probe(val tokens: Array[String]) {
+    private val bits  = 32 - Integer.numberOfLeadingZeros(math.max(2, 2 * tokens.length) - 1)
+    private val slots = new Array[Int](1 << bits) // 1 + index into `tokens`; 0 = empty
+    private val keys  = new Array[Int](1 << bits) // the hash of the token in each slot
+    private val mask  = slots.length - 1
+
+    private def home(h: Int): Int = (h * 0x9E3779B9) >>> (32 - bits) // Fibonacci hashing
+
+    locally {
+      var i = 0
+      while (i < tokens.length) {
+        val h = tokens(i).hashCode
+        var s = home(h)
+        while (slots(s) != 0) s = (s + 1) & mask
+        slots(s) = i + 1
+        keys(s) = h
+        i += 1
+      }
+    }
+
+    def size: Int = tokens.length
+
+    private def holds(t: String, h: Int): Boolean = {
+      var s = home(h)
+      while (slots(s) != 0) {
+        if (keys(s) == h && tokens(slots(s) - 1) == t) return true
+        s = (s + 1) & mask
+      }
+      false
+    }
+
+    /** `|q ∩ c|` when it is at least `need`; otherwise some count below
+      * `need`, returned as soon as the misses leave fewer than `need` of
+      * c's tokens to find. `ch` is `hashes(c)`.
+      */
+    def overlap(c: Array[String], ch: Array[Int], need: Int): Int = {
+      val misses = c.length - need // the misses c can afford
+      if (misses < 0 || need > tokens.length) return 0
+      var inter = 0
+      var i     = 0
+      while (i < c.length) {
+        if (holds(c(i), ch(i))) inter += 1
+        else if (i + 1 - inter > misses) return inter
+        i += 1
+      }
+      inter
+    }
+
+    /** [[jaccard]]`(q, c)`, bit for bit. */
+    def jaccard(c: Array[String], ch: Array[Int]): Double =
+      if (tokens.length == 0 && c.length == 0) 1.0
+      else {
+        val inter = overlap(c, ch, 0)
+        inter.toDouble / (tokens.length + c.length - inter)
+      }
+  }
 }

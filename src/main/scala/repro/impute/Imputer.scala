@@ -33,11 +33,6 @@ object Imputer {
 
   def allSamples(repo: Repo): SampleFinder = (_, _) => repo.rows.indices.iterator
 
-  private def recordTokens(r: Record): Int => Array[String] = {
-    val ts = r.attrs.map(_.fold(Text.Empty)(Text.tokens))
-    j => ts(j)
-  }
-
   /** Imputed value distribution for missing attribute j of r (Eq. 4).
     * `cached = false` recomputes every `cand(s[A_j])` domain scan — the
     * straightforward method's behavior (the memo table is part of our
@@ -47,15 +42,20 @@ object Imputer {
     */
   def valueDistribution(r: Record, j: Int, rules: Seq[Rule], repo: Repo,
                         finder: SampleFinder, cached: Boolean = true,
-                        stats: RunStats = new RunStats): Vector[(String, Double)] = {
-    val rTok = recordTokens(r)
+                        stats: RunStats = new RunStats): Vector[(String, Double)] =
+    valueDistribution(r, r.probes, j, rules, repo, finder, cached, stats)
+
+  /** [[valueDistribution]] with r's probe tables (`r.probes`) built once by
+    * the caller, who imputes every missing attribute of r with them.
+    */
+  def valueDistribution(r: Record, rp: Array[Text.Probe], j: Int, rules: Seq[Rule], repo: Repo,
+                        finder: SampleFinder, cached: Boolean, stats: RunStats): Vector[(String, Double)] = {
     val freq = new Array[Long](repo.doms(j).size) // Eq. 4 multiset over dom(A_j)
     val verified: Long => Unit = stats.neighborsChecked += _
     rules.iterator.filter(rule => rule.dep == j && rule.applicableTo(r)).foreach { rule =>
       finder(rule, r).foreach { si =>
-        val sTok = repo.tokenRows(si)
         stats.imputeSamplesChecked += 1
-        if (rule.satisfiedBy(rTok, x => sTok(x))) {
+        if (rule.satisfiedBy(rp, repo.tokenRows(si), repo.hashRows(si))) {
           if (rule.depHi <= 1e-12) {
             // Editing-rule semantics: copy the sample's dependent value.
             freq(repo.domIndex(j)(repo.rows(si)(j))) += 1L
@@ -190,14 +190,15 @@ final class ImputePlan(method: Method, rules: Seq[Rule], repo: Repo, pivots: Piv
     val t =
       if (r.isComplete) Imputer.imputeComplete(r)
       else {
+        val rp       = r.probes // r's values tokenized once, for every step below
         val t0       = System.nanoTime()
         val selected = r.missing.map { j =>
-          j -> cddIndex.fold(rules.filter(rule => rule.dep == j && rule.applicableTo(r)))(_.select(r, j))
+          j -> cddIndex.fold(rules.filter(rule => rule.dep == j && rule.applicableTo(r)))(_.select(r, rp, j))
         }.toMap
         stats.cddSelectNanos += System.nanoTime() - t0
-        val finder = drIndex.fold(Imputer.allSamples(repo))(_.finderFor(r))
+        val finder = drIndex.fold(Imputer.allSamples(repo))(_.finderFor(rp))
         val dists = r.attrs.indices.map { j =>
-          r.attrs(j).fold(Imputer.valueDistribution(r, j, selected(j), repo, finder, indexed, stats))(v => Vector((v, 1.0)))
+          r.attrs(j).fold(Imputer.valueDistribution(r, rp, j, selected(j), repo, finder, indexed, stats))(v => Vector((v, 1.0)))
         }.toVector
         ImputedTuple(r.rid, r.sid, r.ts, dists, Imputer.assemble(dists, stats))
       }

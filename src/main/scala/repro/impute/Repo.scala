@@ -4,10 +4,11 @@ import java.util.concurrent.ConcurrentHashMap
 import repro.core.{JaccardIndex, Text}
 
 /** The static complete data repository R (§2.2) with the derived artifacts
-  * imputation needs: tokenized rows, per-attribute domains `dom(A_j)`, and a
-  * memoized neighbor lookup `cand(s[A_j])` = all domain values whose Jaccard
-  * distance to a given value falls in a rule's dependent interval, answered
-  * by exact range search over the domain's token sets.
+  * imputation needs: tokenized rows and their token hashes, per-attribute
+  * domains `dom(A_j)`, and a memoized neighbor lookup `cand(s[A_j])` = all
+  * domain values whose Jaccard distance to a given value falls in a rule's
+  * dependent interval, answered by exact range search over the domain's
+  * token sets.
   *
   * The neighbor cache is concurrent because Spark local-mode tasks share the
   * JVM and call into it from executor threads.
@@ -18,6 +19,11 @@ final class Repo(val rows: IndexedSeq[Vector[String]]) extends Serializable {
 
   /** Per row, per attribute token arrays (`Text.tokens`). */
   val tokenRows: IndexedSeq[Array[Array[String]]] = rows.map(_.iterator.map(Text.tokens).toArray)
+
+  /** Per row, per attribute the tokens' hashes (`Text.hashes`), which a
+    * record's probe tables look up (`Rule.satisfiedBy`).
+    */
+  val hashRows: IndexedSeq[Array[Array[Int]]] = tokenRows.map(_.map(Text.hashes))
 
   /** Distinct values per attribute, in first-appearance order. */
   val doms: Vector[Vector[String]] =

@@ -37,15 +37,17 @@ final class CDDIndex(rules: Seq[Rule], @unused pivots: Pivots, @unused d: Int) e
   /** The rules that can impute missing attribute j of record r: those that
     * are applicable to r and whose every constant holds r's value.
     */
-  def select(r: Record, j: Int): Vector[Rule] = {
+  def select(r: Record, j: Int): Vector[Rule] = select(r, r.probes, j)
+
+  /** [[select]] with r's values already tokenized (`r.probes`). */
+  def select(r: Record, rp: Array[Text.Probe], j: Int): Vector[Rule] = {
     val out = Vector.newBuilder[Rule]
     free.getOrElse(j, Vector.empty).foreach(rule => if (rule.applicableTo(r)) out += rule)
     keyed.get(j).foreach { byAttr =>
-      val rTok = r.attrs.map(_.fold(Text.Empty)(Text.tokens))
       byAttr.foreach { case (x, byConst) =>
-        if (r.attrs(x).isDefined) byConst.getOrElse(key(rTok(x)), Vector.empty).foreach { rule =>
+        if (r.attrs(x).isDefined) byConst.getOrElse(key(rp(x).tokens), Vector.empty).foreach { rule =>
           if (rule.applicableTo(r) && rule.det.forall {
-                case (y, v: ValueEq) => Text.same(rTok(y), v.tokens)
+                case (y, v: ValueEq) => Text.same(rp(y).tokens, v.tokens)
                 case _               => true
               }) out += rule
         }

@@ -40,12 +40,14 @@ final class DRIndex(repo: Repo, @unused pivots: Pivots, @unused vocab: Set[Strin
     * shortest list among its determinants'; `DistRange` lists are memoized
     * per (attribute, `hi`), which the mined rules share.
     */
-  def finderFor(r0: Record): repro.impute.Imputer.SampleFinder = {
-    val rTok = Array.tabulate(d)(x => r0.attrs(x).fold(Text.Empty)(Text.tokens))
+  def finderFor(r0: Record): repro.impute.Imputer.SampleFinder = finderFor(r0.probes)
+
+  /** [[finderFor]] with the record's values already tokenized (`r0.probes`). */
+  def finderFor(rp: Array[Text.Probe]): repro.impute.Imputer.SampleFinder = {
     val memo = mutable.HashMap.empty[(Int, Double), Array[Int]]
     def candidates(x: Int, c: Constraint): Array[Int] = c match {
-      case DistRange(_, hi) => memo.getOrElseUpdate((x, hi), search(x).within(rTok(x), hi))
-      case v: ValueEq       => withValue(x, rTok(x), v)
+      case DistRange(_, hi) => memo.getOrElseUpdate((x, hi), search(x).within(rp(x).tokens, hi))
+      case v: ValueEq       => withValue(x, rp(x).tokens, v)
     }
     (rule: Rule, _: Record) => {
       var best: Array[Int] = null
@@ -57,4 +59,3 @@ final class DRIndex(repo: Repo, @unused pivots: Pivots, @unused vocab: Set[Strin
     }
   }
 }
-

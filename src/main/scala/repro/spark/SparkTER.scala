@@ -19,7 +19,9 @@ object RecordRow {
   def of(r: Record): RecordRow = RecordRow(r.rid, r.sid, r.ts, r.attrs.map(_.orNull))
 }
 
-/** Per-run totals of a [[SparkTER]]: where a batch's time and pair tests go. */
+/** Per-run totals of a [[SparkTER]]: where a batch's time and pair tests
+  * go, and the imputation ledger of its arrivals.
+  */
 final class SparkStats {
   var batches: Long         = 0
   /** The batch's Spark job: imputation, sketching and the in-task pair tests, up to `collect`. */
@@ -30,6 +32,23 @@ final class SparkStats {
   var broadcastNanos: Long  = 0
   var taskPairTests: Long   = 0
   var driverPairTests: Long = 0
+  // The imputation ledger the tasks return, summed: `RunStats`'s counters of
+  // the same names.
+  var imputeSamplesChecked: Long = 0
+  var imputedTuples: Long        = 0
+  var imputedAttrs: Long         = 0
+  var sentinelFallbacks: Long    = 0
+  var instanceCapBinds: Long     = 0
+  var droppedMass: Double        = 0.0
+
+  private[spark] def addImputation(s: RunStats): Unit = {
+    imputeSamplesChecked += s.imputeSamplesChecked
+    imputedTuples += s.imputedTuples
+    imputedAttrs += s.imputedAttrs
+    sentinelFallbacks += s.sentinelFallbacks
+    instanceCapBinds += s.instanceCapBinds
+    droppedMass += s.droppedMass
+  }
 }
 
 /** Micro-batch TER-iDS on Spark, a thin layer over `Engine`'s functions
@@ -122,11 +141,11 @@ final class SparkTER(
     val (bc, k, gamma, alpha) = (planBc, params.keywordTokens, params.gamma, params.alpha)
     val view = View.of(segments, sids.map(s => windows.getOrElse(s, Vector.empty)))
     val t0 = System.nanoTime()
-    val results = sc.parallelize(records.zip(probes), sc.defaultParallelism).mapPartitions { it =>
-      val old     = view.resolve()
-      val scratch = new RunStats // SparkTER keeps no imputation ledger
-      it.map { case (row, p) =>
-        val q       = bc.value.sketch(row.toRecord, scratch)
+    val parts = sc.parallelize(records.zip(probes), sc.defaultParallelism).mapPartitions { it =>
+      val old    = view.resolve()
+      val ledger = new RunStats // the partition's imputation counters, returned with its results
+      val out = it.map { case (row, p) =>
+        val q       = bc.value.sketch(row.toRecord, ledger)
         val qHasKw  = q.hasAnyKeyword(k)
         val matches = Array.newBuilder[(Long, Long)]
         var tests   = 0
@@ -143,9 +162,12 @@ final class SparkTER(
           s += 1
         }
         (q, matches.result(), tests)
-      }
+      }.toArray
+      Iterator.single((out, ledger))
     }.collect()
     stats.jobNanos += System.nanoTime() - t0
+    parts.foreach(part => stats.addImputation(part._2))
+    val results = parts.flatMap(_._1)
 
     val sketches = results.map(_._1)
     val matched  = mutable.Set.empty[(Long, Long)]

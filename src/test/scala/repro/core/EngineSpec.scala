@@ -189,6 +189,16 @@ class EngineSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](eng.step(Seq(sa(1), sb(1), sa(2))))
   }
 
+  test("Params rejects a window below 1, alpha outside [0, 1] and a negative or non-finite gamma") {
+    val kw = Set("topic0")
+    Seq((2.0, 0.5, 0), (2.0, 0.5, -3), (2.0, -0.1, 5), (2.0, 1.1, 5), (2.0, Double.NaN, 5),
+      (-0.5, 0.5, 5), (Double.PositiveInfinity, 0.5, 5), (Double.NaN, 0.5, 5)).foreach { case (g, a, w) =>
+      intercept[IllegalArgumentException](Params(kw, g, a, w))
+    }
+    Params(kw, 0.0, 0.0, 1) // the edges are meaningful
+    Params(kw, 4.0, 1.0, 1)
+  }
+
   test("window size never exceeds w") {
     val eng = Harness.engineFor(TERiDS, cfg)
     val b   = Harness.base(cfg.profile)

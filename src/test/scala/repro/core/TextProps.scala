@@ -50,10 +50,23 @@ object TextProps extends Properties("Text") {
     }
   }
 
+  private val maybeEmpty: Gen[Set[String]] = Gen.frequency(1 -> Gen.const(Set.empty[String]), 9 -> tokenSet)
+
   property("array jaccard equals set jaccard exactly") =
-    Prop.forAll(Gen.frequency(1 -> Gen.const(Set.empty[String]), 9 -> tokenSet), tokenSet) { (a, b) =>
+    Prop.forAll(maybeEmpty, tokenSet) { (a, b) =>
       Text.jaccard(TextRef.arr(a), TextRef.arr(b)) == TextRef.jaccard(a, b) &&
       Text.jaccard(Text.Empty, Text.Empty) == TextRef.jaccard(Set.empty, Set.empty)
+    }
+
+  property("probe overlap is the set intersection, and with a need it reaches need exactly when that does") =
+    Prop.forAll(maybeEmpty, maybeEmpty) { (a, b) =>
+      val (q, c) = (TextRef.arr(a), TextRef.arr(b))
+      val p      = new Text.Probe(q)
+      val inter  = a.intersect(b).size
+      (0 to pool.size + 1).forall { need =>
+        val got = p.overlap(c, Text.hashes(c), need)
+        (got >= need) == (inter >= need) && (got < need || got == inter)
+      } && p.jaccard(c, Text.hashes(c)) == Text.jaccard(q, c)
     }
 
   property("contains agrees with the token set") = Prop.forAll(tokenSet, Gen.oneOf(pool)) { (a, t) =>
@@ -71,10 +84,15 @@ object TextProps extends Properties("Text") {
         out.close()
         bytes.toByteArray
       }
-      if (warm) x.sim(y) // serialize with the token arrays already built
+      if (warm) { // serialize with the token arrays, probe tables and hashes already built
+        x.sim(y)
+        x.simExceeds(y, 0.0)
+        y.simExceeds(x, 0.0)
+      }
       val bytes = serialize(x)
       val back  = new ObjectInputStream(new ByteArrayInputStream(bytes)).readObject().asInstanceOf[Instance]
-      // The token arrays are transient: a warm instance writes what a cold one does.
+      // The token arrays, probe tables and hashes are transient: a warm
+      // instance writes what a cold one does.
       val lean = !warm || bytes.length == serialize(Instance(xs.toVector, 1.0)).length
       lean && back.sim(y) == x.sim(y) && y.sim(back) == x.sim(y)
     }

@@ -66,10 +66,10 @@ object DRIndexProps extends Properties("DRIndex") {
   property("finder candidates are a superset of the satisfying samples") = Prop.forAllNoShrink(draw) { dr =>
     val repo   = new Repo(dr.rows)
     val finder = new DRIndex(repo, Pivots(Vector.fill(3)(Vector(""))), Set.empty).finderFor(dr.r)
-    val rTok   = dr.r.attrs.map(_.fold(Text.Empty)(Text.tokens))
+    val rp     = dr.r.probes
     val missed = dr.rules.flatMap { rule =>
       val cands = finder(rule, dr.r).toSet
-      repo.rows.indices.filter(s => rule.satisfiedBy(rTok, x => repo.tokenRows(s)(x)) && !cands(s)).map(s => (rule, s))
+      repo.rows.indices.filter(s => rule.satisfiedBy(rp, repo.tokenRows(s), repo.hashRows(s)) && !cands(s)).map(s => (rule, s))
     }
     Prop(missed.isEmpty) :| s"missed ${missed.take(3)} of ${dr.rows}"
   }

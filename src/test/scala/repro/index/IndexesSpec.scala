@@ -66,9 +66,9 @@ class IndexesSpec extends AnyFunSuite {
     recs.foreach { r =>
       val j = r.missing.head
       rules.filter(rule => rule.dep == j && rule.applicableTo(r)).take(6).foreach { rule =>
-        val rTok = (x: Int) => r.attrs(x).fold(repro.core.Text.Empty)(repro.core.Text.tokens)
+        val rp = r.probes
         val satisfying = repo.rows.indices.filter { si =>
-          rule.satisfiedBy(rTok, x => repo.tokenRows(si)(x))
+          rule.satisfiedBy(rp, repo.tokenRows(si), repo.hashRows(si))
         }.toSet
         val candidates = drIdx.finderFor(r)(rule, r).toSet
         assert(satisfying.subsetOf(candidates),

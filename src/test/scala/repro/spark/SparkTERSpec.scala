@@ -58,6 +58,20 @@ class SparkTERSpec extends SparkSpec {
     assert(ter.stats.batches == cfg.maxSteps)
   }
 
+  test("the tasks' imputation ledger equals the engine's") {
+    val ter = mkSparkTer()
+    ter.runStreams(streams, batchTs = 25)
+    val (s, e) = (ter.stats, coreEngine.stats)
+    assert(e.imputedAttrs > 0 && e.sentinelFallbacks > 0)
+    assert(s.imputeSamplesChecked == e.imputeSamplesChecked)
+    assert(s.imputedTuples == e.imputedTuples)
+    assert(s.imputedAttrs == e.imputedAttrs)
+    assert(s.sentinelFallbacks == e.sentinelFallbacks)
+    assert(s.instanceCapBinds == e.instanceCapBinds)
+    // Summed per task, so in another order than the engine's.
+    assert(math.abs(s.droppedMass - e.droppedMass) <= 1e-9)
+  }
+
   test("one batch longer than the stream: the driver tests every pair") {
     val ter = mkSparkTer()
     assert(ter.runStreams(streams, batchTs = cfg.maxSteps + 1) == coreFound)
