@@ -10,8 +10,9 @@ import repro.spark.SparkTER
   * (micro-batched stateful window join) and reports the F-score against the
   * Eq. 2 ground truth — the distributed counterpart of the core engine —
   * with `SparkTER.stats`: the batches, the time in Spark jobs, in
-  * same-batch pair tests on the driver and in segment broadcasts, and the
-  * pair tests made in tasks and on the driver:
+  * same-batch pair tests on the driver and in segment broadcasts, the bytes
+  * broadcast as segments, and the pair tests made in tasks and on the
+  * driver:
   *
   *   spark-submit --class repro.jobs.SparkPipelineJob <jar> [dataset] [batchTs]
   */
@@ -19,7 +20,7 @@ object SparkPipelineJob {
   def main(args: Array[String]): Unit = {
     val profile = args.headOption.map(ERSynth.byName).getOrElse(ERSynth.Citations)
     val batchTs = args.lift(1).map(_.toInt).getOrElse(25)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("ter-ids-spark")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
@@ -44,7 +45,7 @@ object SparkPipelineJob {
       println(f"dataset=${profile.name} batchTs=$batchTs pairs=${found.size} " +
         f"P=${prf.precision}%.4f R=${prf.recall}%.4f F=${prf.f}%.4f wall=${secs}%.1fs " +
         f"batches=${st.batches} job=${st.jobNanos / 1e9}%.2fs driverPairs=${st.driverPairNanos / 1e9}%.3fs " +
-        f"broadcast=${st.broadcastNanos / 1e9}%.3fs taskTests=${st.taskPairTests} driverTests=${st.driverPairTests}")
+        f"broadcast=${st.broadcastNanos / 1e9}%.3fs segmentBytes=${st.segmentBytes} taskTests=${st.taskPairTests} driverTests=${st.driverPairTests}")
     } finally spark.stop()
   }
 }

@@ -1,7 +1,9 @@
 package repro.spark
 
+import java.nio.ByteBuffer
 import scala.annotation.unused
 import scala.collection.mutable
+import org.apache.spark.{SparkEnv, TaskContext}
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import repro.cdd.Rule
@@ -23,13 +25,18 @@ object RecordRow {
   * go, and the imputation ledger of its arrivals.
   */
 final class SparkStats {
+  /** Batches whose job succeeded; a failed batch counts nothing. */
   var batches: Long         = 0
-  /** The batch's Spark job: imputation, sketching and the in-task pair tests, up to `collect`. */
+  /** The batch's Spark job: imputation, sketching and the in-task pair
+    * tests, up to the driver's decoded copy of the tasks' sketches.
+    */
   var jobNanos: Long        = 0
   /** Same-batch pair tests on the driver. */
   var driverPairNanos: Long = 0
   /** Broadcasting each batch's sketches as a window segment. */
   var broadcastNanos: Long  = 0
+  /** The serialized sketches broadcast as segments. */
+  var segmentBytes: Long    = 0
   var taskPairTests: Long   = 0
   var driverPairTests: Long = 0
   // The imputation ledger the tasks return, summed: `RunStats`'s counters of
@@ -67,7 +74,9 @@ final class SparkStats {
   *
   * A window holds references into segments: each batch's sketches are
   * broadcast once, as one segment, and a segment is destroyed as soon as no
-  * window references it. So a task's closure carries segment handles and
+  * window references it. A task serializes its sketches once, and the
+  * driver broadcasts those bytes as the segment, unchanged. The task is a
+  * named class, [[SparkTER.BatchTask]], that carries segment handles and
   * index arrays, not sketches. `d` and `vocab` are unused.
   */
 final class SparkTER(
@@ -106,6 +115,13 @@ final class SparkTER(
   /** Segments not yet destroyed, and the segments the windows reference. */
   private[spark] def liveSegments: Int       = segments.size
   private[spark] def referencedSegments: Int = referenced.size
+  /** The live segments' broadcast values. */
+  private[spark] def segmentHolders: Seq[SegmentBytes] = segments.map(_.bytes).toSeq
+
+  /** The task of a batch over streams `sids`, against the current windows. */
+  private[spark] def taskFor(sids: Array[Int]): BatchTask =
+    new BatchTask(View.of(segments, sids.map(s => windows.getOrElse(s, Vector.empty))), planBc,
+      params.keywordTokens, params.gamma, params.alpha)
 
   /** Process one micro-batch of arrivals; returns the new matching pairs. */
   def processBatch(records: Seq[RecordRow]): Set[(Long, Long)] = {
@@ -116,8 +132,6 @@ final class SparkTER(
       "timestamps decrease within a batch: processBatch takes whole timestamps in order")
     require(records.map(r => (r.ts, r.sid)).distinct.size == records.size,
       "two arrivals of one stream in one timestamp: a stream takes one arrival per timestamp")
-    lastTs = records.last.ts
-    stats.batches += 1
 
     // Per stream, what this batch's arrivals can see: the window as the batch
     // starts (positions below `pre`), then the stream's own arrivals.
@@ -138,44 +152,30 @@ final class SparkTER(
     }
 
     // One job: sketch each arrival and test it against the pre-batch windows.
-    val (bc, k, gamma, alpha) = (planBc, params.keywordTokens, params.gamma, params.alpha)
-    val view = View.of(segments, sids.map(s => windows.getOrElse(s, Vector.empty)))
-    val t0 = System.nanoTime()
-    val parts = sc.parallelize(records.zip(probes), sc.defaultParallelism).mapPartitions { it =>
-      val old    = view.resolve()
-      val ledger = new RunStats // the partition's imputation counters, returned with its results
-      val out = it.map { case (row, p) =>
-        val q       = bc.value.sketch(row.toRecord, ledger)
-        val qHasKw  = q.hasAnyKeyword(k)
-        val matches = Array.newBuilder[(Long, Long)]
-        var tests   = 0
-        var s       = 0
-        while (s < p.from.length) {
-          if (s != p.stream) {
-            var c = p.from(s) // every pre-batch position from here on is below until(s)
-            while (c < old(s).length) {
-              if (Pruning.testPair(q, qHasKw, old(s)(c), k, gamma, alpha).matched) matches += pairKey(q, old(s)(c))
-              tests += 1
-              c += 1
-            }
-          }
-          s += 1
-        }
-        (q, matches.result(), tests)
-      }.toArray
-      Iterator.single((out, ledger))
-    }.collect()
+    val t0    = System.nanoTime()
+    val parts = sc.runJob(sc.parallelize(records.zip(probes), sc.defaultParallelism), taskFor(sids))
     stats.jobNanos += System.nanoTime() - t0
-    parts.foreach(part => stats.addImputation(part._2))
-    val results = parts.flatMap(_._1)
+    // The job succeeded: only now does the batch consume its timestamps.
+    lastTs = records.last.ts
+    stats.batches += 1
+    val matched = mutable.Set.empty[(Long, Long)]
+    parts.foreach { p => stats.addImputation(p.ledger); stats.taskPairTests += p.tests; matched ++= p.matches }
 
-    val sketches = results.map(_._1)
-    val matched  = mutable.Set.empty[(Long, Long)]
-    results.foreach { case (_, m, tests) => matched ++= m; stats.taskPairTests += tests }
+    // The tasks' bytes become the segment as they are. They are broadcast
+    // before anything decodes them, so the broadcast sizes bytes, not sketches.
+    val t1    = System.nanoTime()
+    val bytes = new SegmentBytes(parts.map(_.sketches))
+    val seg   = new Segment(sc.broadcast(bytes), bytes)
+    stats.broadcastNanos += System.nanoTime() - t1
+    stats.segmentBytes += bytes.size
+    val t2       = System.nanoTime()
+    val sketches = seg.sketches // local tasks read this same array
+    stats.jobNanos += System.nanoTime() - t2
 
     // Same-batch pairs: each arrival against the earlier arrivals of other
     // streams in this batch, window positions at or above `pre`.
-    val t1    = System.nanoTime()
+    val (k, gamma, alpha) = (params.keywordTokens, params.gamma, params.alpha)
+    val t3    = System.nanoTime()
     val added = sids.indices.map(s => probes.indices.filter(probes(_).stream == s))
     probes.indices.foreach { a =>
       val (p, q) = (probes(a), sketches(a))
@@ -188,11 +188,8 @@ final class SparkTER(
         }
       }
     }
-    stats.driverPairNanos += System.nanoTime() - t1
+    stats.driverPairNanos += System.nanoTime() - t3
 
-    val t2  = System.nanoTime()
-    val seg = new Segment(sc.broadcast(sketches), sketches)
-    stats.broadcastNanos += System.nanoTime() - t2
     segments += seg
     sids.indices.foreach(s =>
       windows(sids(s)) = (windows.getOrElse(sids(s), Vector.empty) ++ added(s).map(Slot(seg, _))).slice(from(s), until(s)))
@@ -221,10 +218,23 @@ final class SparkTER(
 
 object SparkTER {
 
-  /** One batch's sketches, broadcast once; `sketches` is the driver's copy.
-    * Not serializable, so no closure can capture the sketches by mistake.
+  /** One batch's sketches as its tasks serialized them, one byte array per
+    * partition, in arrival order. It is broadcast as it is, and `sketches`
+    * decodes the bytes on its first read, once per JVM: tasks that run in
+    * the driver's JVM read the driver's array.
     */
-  private final class Segment(val bc: Broadcast[Array[TupleSketch]], val sketches: Array[TupleSketch])
+  private[spark] final class SegmentBytes(val parts: Array[Array[Byte]]) extends Serializable {
+    @transient lazy val sketches: Array[TupleSketch] = parts.flatMap(decode)
+    def size: Long = parts.iterator.map(_.length.toLong).sum
+  }
+
+  /** One batch's segment: its broadcast, and the driver's reference to the
+    * broadcast value. Not serializable, so no task can capture the sketches
+    * by mistake.
+    */
+  private final class Segment(val bc: Broadcast[SegmentBytes], val bytes: SegmentBytes) {
+    def sketches: Array[TupleSketch] = bytes.sketches
+  }
 
   /** A window entry: the sketch at `i` in `seg`. */
   private final case class Slot(seg: Segment, i: Int) {
@@ -232,11 +242,11 @@ object SparkTER {
   }
 
   /** The pre-batch windows as a task sees them: entry `p` of stream `s` is
-    * `segs(seg(s)(p)).value(idx(s)(p))`.
+    * `segs(seg(s)(p)).value.sketches(idx(s)(p))`.
     */
-  private final case class View(segs: Array[Broadcast[Array[TupleSketch]]], seg: Array[Array[Int]], idx: Array[Array[Int]]) {
+  private[spark] final case class View(segs: Array[Broadcast[SegmentBytes]], seg: Array[Array[Int]], idx: Array[Array[Int]]) {
     def resolve(): Array[Array[TupleSketch]] = {
-      val values = segs.map(_.value)
+      val values = segs.map(_.value.sketches)
       seg.indices.map(s => seg(s).indices.map(p => values(seg(s)(p))(idx(s)(p))).toArray).toArray
     }
   }
@@ -252,6 +262,67 @@ object SparkTER {
     * it sees positions `[from(s), until(s))` of every other stream `s`.
     */
   private[spark] final case class Probe(stream: Int, from: Array[Int], until: Array[Int])
+
+  /** A task's answer for its partition: the arrivals' sketches, serialized
+    * once, the pairs they match in the pre-batch windows, the pair tests
+    * made and the imputation counters.
+    */
+  private[spark] final case class PartResult(sketches: Array[Byte], matches: Array[(Long, Long)], tests: Long, ledger: RunStats)
+
+  /** A batch's task: imputes and sketches each arrival of its partition
+    * with the broadcast plan, and tests it against the pre-batch window
+    * positions its `Probe` allows. A named class, not a lambda, so Spark's
+    * closure cleaner, which rewrites only closures, returns at once: no
+    * class file is re-read and no serializability check runs per job. It
+    * holds the view, the plan's broadcast and the query parameters, nothing
+    * of the `SparkTER` that built it.
+    */
+  private[spark] final class BatchTask(
+      view: View,
+      plan: Broadcast[ImputePlan],
+      k: Set[String],
+      gamma: Double,
+      alpha: Double,
+  ) extends ((TaskContext, Iterator[(RecordRow, Probe)]) => PartResult) with Serializable {
+
+    def apply(ctx: TaskContext, rows: Iterator[(RecordRow, Probe)]): PartResult = {
+      val old      = view.resolve()
+      val ledger   = new RunStats
+      val sketches = Array.newBuilder[TupleSketch]
+      val matches  = Array.newBuilder[(Long, Long)]
+      var tests    = 0L
+      rows.foreach { case (row, p) =>
+        val q      = plan.value.sketch(row.toRecord, ledger)
+        val qHasKw = q.hasAnyKeyword(k)
+        var s      = 0
+        while (s < p.from.length) {
+          if (s != p.stream) {
+            var c = p.from(s) // every pre-batch position from here on is below until(s)
+            while (c < old(s).length) {
+              if (Pruning.testPair(q, qHasKw, old(s)(c), k, gamma, alpha).matched) matches += pairKey(q, old(s)(c))
+              tests += 1
+              c += 1
+            }
+          }
+          s += 1
+        }
+        sketches += q
+      }
+      PartResult(encode(sketches.result()), matches.result(), tests, ledger)
+    }
+  }
+
+  /** Sketches to bytes and back with Spark's serializer, the one it uses for
+    * task results and broadcasts.
+    */
+  private def encode(sketches: Array[TupleSketch]): Array[Byte] = {
+    val buf = SparkEnv.get.serializer.newInstance().serialize(sketches)
+    val out = new Array[Byte](buf.remaining)
+    buf.get(out)
+    out
+  }
+  private def decode(bytes: Array[Byte]): Array[TupleSketch] =
+    SparkEnv.get.serializer.newInstance().deserialize[Array[TupleSketch]](ByteBuffer.wrap(bytes))
 
   private def pairKey(q: TupleSketch, c: TupleSketch): (Long, Long) = (math.min(q.rid, c.rid), math.max(q.rid, c.rid))
 }

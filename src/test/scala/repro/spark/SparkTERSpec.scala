@@ -1,5 +1,7 @@
 package repro.spark
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+import org.apache.spark.SparkException
 import repro.SparkSpec
 import repro.core._
 import repro.data.ERSynth
@@ -35,7 +37,7 @@ class SparkTERSpec extends SparkSpec {
   }
   private lazy val coreFound = coreEngine.allMatches
 
-  test("micro-batch Spark pipeline equals the core engine (batch = 1 timestamp)") {
+  test("micro-batch Spark pipeline equals the core engine (batch = 75 timestamps)") {
     val ter = mkSparkTer()
     assert(ter.runStreams(streams, batchTs = 75) == coreFound)
   }
@@ -111,6 +113,73 @@ class SparkTERSpec extends SparkSpec {
     assertThrows[IllegalArgumentException](ter.processBatch(rows :+ RecordRow.of(streams(0)(1)).copy(ts = 0)))
     ter.processBatch(rows) // the rejected batch consumed nothing, so timestamp 0 is still open
     assert(ter.stats.batches == 1)
+  }
+
+  test("a failed batch consumes nothing: the same timestamps can be fed again") {
+    val ter  = mkSparkTer()
+    def rows(lo: Int, hi: Int) = (lo until hi).flatMap(t => streams.map(s => RecordRow.of(s(t))))
+    ter.processBatch(rows(0, 50))
+    val broken = rows(50, 75).updated(7, rows(50, 75)(7).copy(attrs = null)) // its task throws
+    intercept[SparkException](ter.processBatch(broken))
+    assert(ter.stats.batches == 1)
+    ter.processBatch(rows(50, 75))
+    ter.processBatch(rows(75, cfg.maxSteps))
+    assert(ter.allMatches == coreFound)
+    assert(ter.stats.batches == 3)
+    assert(ter.stats.taskPairTests + ter.stats.driverPairTests == coreEngine.stats.pairsTotal)
+    assert(ter.liveSegments == ter.referencedSegments)
+  }
+
+  test("the batch task is a named class, not a lambda") {
+    val c = mkSparkTer().taskFor(Array(0, 1)).getClass
+    assert(!c.isSynthetic)
+    assert(!c.getName.contains("$anonfun$") && !c.getName.contains("$$Lambda"), c.getName)
+  }
+
+  private def javaBytes(o: AnyRef): Array[Byte] = {
+    val bos = new ByteArrayOutputStream
+    val out = new ObjectOutputStream(bos)
+    out.writeObject(o)
+    out.close()
+    bos.toByteArray
+  }
+
+  test("a task carries index arrays, not sketches: about 8 bytes per window position") {
+    val c = cfg.copy(w = 300)
+    def taskBytes(steps: Int): Int = {
+      val ter = mkSparkTer(c)
+      ter.runStreams(streams.map(_.take(steps)), batchTs = 150)
+      assert(ter.windowState.size == 2 * steps && ter.liveSegments == 1)
+      javaBytes(ter.taskFor(Array(0, 1))).length
+    }
+    // 30 and 300 positions of one segment: a segment and a stream index per position.
+    val growth = taskBytes(150) - taskBytes(15)
+    assert(growth >= 8 * 270 && growth <= 8 * 270 + 64, s"$growth bytes for 270 more positions")
+  }
+
+  test("a segment holder decodes to the driver's sketches, once") {
+    val ter = mkSparkTer()
+    ter.runStreams(streams, batchTs = 25)
+    val driver  = ter.windowState.map(q => q.rid -> q).toMap
+    val holders = ter.segmentHolders
+    assert(holders.map(_.size).sum <= ter.stats.segmentBytes)
+    assert(holders.flatMap(_.sketches).count(q => driver.contains(q.rid)) == driver.size)
+    holders.foreach { h =>
+      val copy = new ObjectInputStream(new ByteArrayInputStream(javaBytes(h))).readObject().asInstanceOf[SparkTER.SegmentBytes]
+      val got  = copy.sketches
+      assert(got eq copy.sketches)
+      assert(got.map(_.rid).toSeq == h.sketches.map(_.rid).toSeq)
+      got.filter(q => driver.contains(q.rid)).foreach { q =>
+        val o = driver(q.rid)
+        assert((q.sid, q.ts, q.kw) == (o.sid, o.ts, o.kw))
+        assert(q.t.instances == o.t.instances)
+        assert(q.attrs.size == o.attrs.size)
+        q.attrs.zip(o.attrs).foreach { case (a, b) =>
+          assert((a.sizeMin, a.sizeMax) == (b.sizeMin, b.sizeMax))
+          assert(a.distLo.sameElements(b.distLo) && a.distHi.sameElements(b.distHi) && a.distE.sameElements(b.distE))
+        }
+      }
+    }
   }
 
   test("window state never exceeds w per stream") {
