@@ -4,7 +4,8 @@ import repro.data.ERSynth
 import repro.eval._
 
 /** Quick end-to-end sanity run on the smallest data set: prints rule
-  * counts, pruning power, F-score, per-step timings and the imputation
+  * counts, pruning power with the refinements the token signatures
+  * settled, F-score, per-step timings and the imputation
   * ledger (imputed values, sentinel share, instance-cap binds, mean dropped
   * mass per imputed tuple) for every method.
   * `spark-submit --class repro.jobs.Smoke` (no Spark needed — core only).
@@ -28,7 +29,8 @@ object Smoke {
       println(f"${m.name}%-8s F=${r.prf.f}%.4f P=${r.prf.precision}%.4f R=${r.prf.recall}%.4f " +
         f"found=${r.found.size}%5d ms/step=${r.stats.msPerStep}%.4f wall=${el}%.1fs " +
         f"[cdd=${r.stats.cddSelectNanos / 1e6}%.0f imp=${r.stats.imputeNanos / 1e6}%.0f er=${r.stats.erNanos / 1e6}%.0f]ms " +
-        s"pruning=${r.stats.pruningPower.map { case (k, v) => f"$k=${v * 100}%.2f%%" }.mkString(" ")}")
+        s"pruning=${r.stats.pruningPower.map { case (k, v) => f"$k=${v * 100}%.2f%%" }.mkString(" ")} " +
+        s"settledBySignature=${r.stats.refineSettled}")
       val s = r.stats
       println(" " * 9 + f"imputed=${s.imputedAttrs}%d values in ${s.imputedTuples}%d tuples " +
         f"sentinel=${100.0 * s.sentinelFallbacks / math.max(1L, s.imputedAttrs)}%.1f%% capBinds=${s.instanceCapBinds}%d " +

@@ -16,11 +16,21 @@ final case class DistRange(lo: Double, hi: Double) extends Constraint {
   /** The least overlap `i ≤ top` at which two token sets with `n > 0` tokens
     * between them lie within `hi`: the least `i` with
     * `1.0 - i.toDouble / (n - i) <= hi + 1e-12`, which is [[holds]]'s upper
-    * test on `Text.jdist` written for the overlap. The left side never rises
-    * as `i` grows, so a binary search finds it; `top + 1` if no `i ≤ top`
-    * qualifies.
+    * test on `Text.jdist` written for the overlap; `top + 1` if no `i ≤ top`
+    * qualifies. The left side never rises as `i` grows below `n`, so the
+    * answer is `min(needAll(n), top + 1)` for `top < n`, read from a table
+    * for `n` below [[DistRange.TableN]] and searched above it.
     */
-  def need(n: Int, top: Int): Int = {
+  def need(n: Int, top: Int): Int =
+    if (n > 0 && n < DistRange.TableN && top < n) math.min(needAll(n), top + 1) else search(n, top)
+
+  /** `needAll(n)` is `search(n, n - 1)`, the least overlap within `hi` at
+    * any `top`. Built on first use, once per JVM.
+    */
+  @transient private lazy val needAll: Array[Int] = Array.tabulate(DistRange.TableN)(n => search(n, n - 1))
+
+  /** [[need]] by binary search, one division per step. */
+  private[cdd] def search(n: Int, top: Int): Int = {
     var lo = 0
     var hi = top + 1
     while (lo < hi) {
@@ -29,6 +39,11 @@ final case class DistRange(lo: Double, hi: Double) extends Constraint {
     }
     lo
   }
+}
+object DistRange {
+
+  /** [[DistRange.need]] reads a table for token totals below this. */
+  val TableN = 64
 }
 final case class ValueEq(v: String) extends Constraint {
   lazy val tokens: Array[String] = Text.tokens(v)

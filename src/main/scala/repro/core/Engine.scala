@@ -38,6 +38,12 @@ final class RunStats extends Serializable {
   var refinedFull: Long          = 0
   var matchedPairs: Long         = 0
   var instancePairsChecked: Long = 0
+  /** Refinements `Pruning.testPair` settled from the token signatures,
+    * without a similarity test. Each is also booked as the refinement it
+    * is (never a match), so this is a share of refinedFull +
+    * prunedInstancePair, not a further outcome.
+    */
+  var refineSettled: Long        = 0
   /** ER-grid cells recomputed from their members (`ERGrid.recomputes`). */
   var gridRecomputes: Long       = 0
   /** ER-grid entries the traversals walked (a cell's members or its topical part). */
@@ -188,6 +194,7 @@ final class Engine(
         case Pruning.ProbUBPruned  => stats.prunedProbUB += 1
         case r: Pruning.Refined    =>
           stats.instancePairsChecked += r.pairsChecked
+          if (r.bySignature) stats.refineSettled += 1
           if (r.matched) addMatch(q.rid, c.rid)
           else if (r.earlyStopped) stats.prunedInstancePair += 1
           else stats.refinedFull += 1

@@ -105,13 +105,18 @@ final case class ImputedTuple(
     */
   def possibleKeywords(keywords: Set[String]): Set[String] = {
     val b = Set.newBuilder[String]
-    attrDists.foreach(_.foreach { case (v, _) =>
-      val tk = Text.tokens(v)
-      // The keyword's own String, so keyword sets compare by reference.
-      keywords.foreach(k => if (Text.contains(tk, k)) b += k)
-    })
+    attrDists.foreach(_.foreach { case (v, _) => ImputedTuple.keywordsIn(Text.tokens(v), keywords, b) })
     b.result()
   }
+}
+
+object ImputedTuple {
+
+  /** Adds to `b` each of `keywords` that the token array `tk` contains, as
+    * the keyword's own String, so keyword sets compare by reference.
+    */
+  private[core] def keywordsIn(tk: Array[String], keywords: Set[String], b: collection.mutable.Growable[String]): Unit =
+    keywords.foreach(k => if (Text.contains(tk, k)) b += k)
 }
 
 /** Per-attribute aggregates of an imputed tuple (§5.2 cell/tuple aggregates):
@@ -128,9 +133,16 @@ final case class AttrSketch(
 )
 
 /** An imputed tuple plus the aggregates every pruning rule reads. `kw` is
-  * the set of query keywords some instance may contain.
+  * the set of query keywords some instance may contain. `sig` is the token
+  * signature, [[TupleSketch.SigWords]] words per attribute: attribute j's
+  * words have a bit set for every token of every possible value of j
+  * (`TupleSketch.tokenBit`), and bit 0 set if some possible value has no
+  * token. Two sketches whose words on j share no bit share no token on j
+  * and do not both have an empty value there, so every instance pair has
+  * Jaccard 0 on j (`Pruning.sharedAttrs`). A hand-built sketch with every
+  * bit set claims nothing.
   */
-final case class TupleSketch(t: ImputedTuple, kw: Set[String], attrs: Vector[AttrSketch]) {
+final case class TupleSketch(t: ImputedTuple, kw: Set[String], attrs: Vector[AttrSketch], sig: Array[Long]) {
   // Copied out of `t`: the grid traversal reads them for every member.
   val rid: Long = t.rid
   val sid: Int  = t.sid
@@ -149,12 +161,30 @@ final case class TupleSketch(t: ImputedTuple, kw: Set[String], attrs: Vector[Att
 
 object TupleSketch {
 
+  /** 64-bit words of `sig` per attribute. One word left a third of the
+    * er-heavy refinements unsettled and four settled few more than two
+    * (EXPERIMENTS.md, "Token signature").
+    */
+  val SigWords = 2
+
+  private val SigBits = 64 * SigWords
+
+  /** The signature bit of a token with `String.hashCode` h: h mixed as
+    * `Text.Probe` mixes it, then mapped onto bits 1 to SigBits − 1 by a
+    * multiply-shift; bit 0 marks an empty value.
+    */
+  private[core] def tokenBit(h: Int): Int =
+    1 + ((((h * 0x9E3779B9).toLong & 0xFFFFFFFFL) * (SigBits - 1)) >>> 32).toInt
+
   /** Build the sketch of an imputed tuple against the selected pivots.
     * `keywords` are the query keywords as tokens (`Params.keywordTokens`),
     * so keyword presence holds for any keyword set, in the topic vocabulary
-    * or not.
+    * or not. Each possible value is tokenized once, and its tokens feed the
+    * size interval, the pivot distances, the keyword set and the signature.
     */
   def of(t: ImputedTuple, pivots: Pivots, keywords: Set[String]): TupleSketch = {
+    val kw  = Set.newBuilder[String]
+    val sig = new Array[Long](SigWords * t.d)
     val attrs = t.attrDists.indices.map { j =>
       val pivTok = pivots.tokens(j)
       val nPiv   = pivTok.length
@@ -175,11 +205,19 @@ object TupleSketch {
           e(a) += dd * p
           a += 1
         }
+        ImputedTuple.keywordsIn(tk, keywords, kw)
+        if (tk.length == 0) sig(SigWords * j) |= 1L
+        a = 0
+        while (a < tk.length) {
+          val b = tokenBit(tk(a).hashCode)
+          sig(SigWords * j + (b >>> 6)) |= 1L << (b & 63)
+          a += 1
+        }
       }
       if (szMin == Int.MaxValue) szMin = 0
       AttrSketch(szMin, szMax, lo, hi, e)
     }.toVector
-    TupleSketch(t, t.possibleKeywords(keywords), attrs)
+    TupleSketch(t, kw.result(), attrs, sig)
   }
 }
 

@@ -104,21 +104,51 @@ object Pruning {
 
   /** Refinement outcome: whether the pair matches, whether Theorem 4.4 cut
     * the enumeration short (instance-pair-level prune / early accept), and
-    * how many instance pairs were checked.
+    * how many instance pairs were checked. `bySignature` marks a refinement
+    * that [[testPair]] settled from the token signatures; its other fields
+    * are [[refine]]'s, bit for bit.
     */
-  final case class Refined(override val matched: Boolean, earlyStopped: Boolean, pairsChecked: Int, pr: Double)
+  final case class Refined(override val matched: Boolean, earlyStopped: Boolean, pairsChecked: Int, pr: Double,
+                           bySignature: Boolean)
       extends Outcome
+
+  /** The attributes on which the two sketches' token signatures share a bit
+    * (`TupleSketch.sig`). On every other attribute each instance pair has
+    * Jaccard exactly 0, and no term exceeds 1, so every instance pair's
+    * in-order similarity sum is at most this count, in floating point too:
+    * the count filter of ScanCount (Li, Lu and Lu, ICDE 2008) over the
+    * bitmap signatures of Sandes, Teodoro and Melo (Inf. Syst. 2020).
+    */
+  def sharedAttrs(x: TupleSketch, y: TupleSketch): Int = {
+    val a = x.sig
+    val b = y.sig
+    var n = 0
+    var j = 0
+    while (j < a.length) {
+      val end = j + TupleSketch.SigWords
+      var w   = j
+      while (w < end && (a(w) & b(w)) == 0) w += 1
+      if (w < end) n += 1
+      j = end
+    }
+    n
+  }
 
   /** The TER-iDS tuple-pair test: Theorems 4.1, 4.2 and 4.3 in turn, then
     * Theorem 4.4 refinement. `qHasKw` is `q.hasAnyKeyword(k)`, hoisted by
     * callers that test one arrival against many candidates.
+    *
+    * A pair whose signatures share at most γ attributes has no instance
+    * pair above γ, so its refinement adds no probability: it walks the
+    * instance pairs for their mass alone, with [[refine]]'s order and
+    * stopping tests, and returns [[refine]]'s result without one similarity.
     */
   def testPair(q: TupleSketch, qHasKw: Boolean, c: TupleSketch,
                k: Set[String], gamma: Double, alpha: Double): Outcome =
     if (!qHasKw && !c.hasAnyKeyword(k)) KeywordPruned
     else if (ubSimBySize(q, c) <= gamma || ubSimByPivot(q, c) <= gamma) SimUBPruned
     else if (probUpperBound(q, c, gamma) <= alpha) ProbUBPruned
-    else refine(q.t, c.t, k, gamma, alpha)
+    else walk(q.t, c.t, k, gamma, alpha, enumerate = sharedAttrs(q, c) > gamma)
 
   /** Exact TER-iDS probability check (Eq. 2) with Theorem 4.4 early
     * termination: stop as soon as the accumulated probability exceeds α
@@ -128,10 +158,18 @@ object Pruning {
     * bounds of its remaining attributes cannot lift it over γ, and the
     * keyword predicate is evaluated only for the few pairs above γ.
     */
-  def refine(x: ImputedTuple, y: ImputedTuple, k: Set[String], gamma: Double, alpha: Double): Refined = {
+  def refine(x: ImputedTuple, y: ImputedTuple, k: Set[String], gamma: Double, alpha: Double): Refined =
+    walk(x, y, k, gamma, alpha, enumerate = true)
+
+  /** [[refine]]'s loop. Without `enumerate` no instance pair is tested and
+    * `acc` stays 0.0, which is what the tests would give when none exceeds γ.
+    */
+  private[core] def walk(x: ImputedTuple, y: ImputedTuple, k: Set[String], gamma: Double, alpha: Double,
+                   enumerate: Boolean): Refined = {
     val xi      = x.instances
     val yi      = y.instances
     val total   = xi.length * yi.length
+    val settled = !enumerate
     var acc     = 0.0
     var mass    = 0.0
     var checked = 0
@@ -142,19 +180,19 @@ object Pruning {
       while (j < yi.length) {
         val b  = yi(j)
         val pp = a.p * b.p
-        if (a.simExceeds(b, gamma) && (a.hasKeyword(k) || b.hasKeyword(k))) acc += pp
+        if (enumerate && a.simExceeds(b, gamma) && (a.hasKeyword(k) || b.hasKeyword(k))) acc += pp
         mass += pp
         checked += 1
-        if (acc > alpha) return Refined(matched = true, earlyStopped = checked < total, checked, acc)
+        if (acc > alpha) return Refined(matched = true, earlyStopped = checked < total, checked, acc, settled)
         if (acc + (1.0 - mass) <= alpha)
           // "Early" only if enumeration was actually cut short — a reject on
           // the final instance pair is a full refinement, not a Thm 4.4 prune.
-          return Refined(matched = false, earlyStopped = checked < total, checked, acc)
+          return Refined(matched = false, earlyStopped = checked < total, checked, acc, settled)
         j += 1
       }
       i += 1
     }
-    Refined(acc > alpha, earlyStopped = false, checked, acc)
+    Refined(acc > alpha, earlyStopped = false, checked, acc, settled)
   }
 
   /** Naive exact probability (Eq. 2), no early stop — the straightforward

@@ -3,6 +3,7 @@ package repro.spark
 import java.nio.ByteBuffer
 import scala.annotation.unused
 import scala.collection.mutable
+import scala.reflect.ClassTag
 import org.apache.spark.{SparkEnv, TaskContext}
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
@@ -95,8 +96,16 @@ final class SparkTER(
   private val plan = new ImputePlan(TERiDS, rules, repo, pivots, params.keywordTokens)
 
   // Broadcast on first use: the repository and indexes reach the tasks once,
-  // not with every batch's closure.
-  private lazy val planBc: Broadcast[ImputePlan] = sc.broadcast(plan)
+  // not with every batch's closure. The plan goes out serialized, so the
+  // broadcast sizes a byte array rather than walking the plan; once it is
+  // stored, the driver's copy is handed the plan, so tasks in the driver's
+  // JVM decode nothing.
+  private lazy val planBc: Broadcast[PlanBytes] = {
+    val bytes = new PlanBytes(encode(plan))
+    val bc    = sc.broadcast(bytes)
+    bytes.local = plan
+    bc
+  }
 
   /** Per-stream windows, oldest first. */
   private val windows  = mutable.Map.empty[Int, Vector[Slot]]
@@ -117,6 +126,8 @@ final class SparkTER(
   private[spark] def referencedSegments: Int = referenced.size
   /** The live segments' broadcast values. */
   private[spark] def segmentHolders: Seq[SegmentBytes] = segments.map(_.bytes).toSeq
+  /** The plan's broadcast value. */
+  private[spark] def planHolder: PlanBytes = planBc.value
 
   /** The task of a batch over streams `sids`, against the current windows. */
   private[spark] def taskFor(sids: Array[Int]): BatchTask =
@@ -224,8 +235,16 @@ object SparkTER {
     * the driver's JVM read the driver's array.
     */
   private[spark] final class SegmentBytes(val parts: Array[Array[Byte]]) extends Serializable {
-    @transient lazy val sketches: Array[TupleSketch] = parts.flatMap(decode)
+    @transient lazy val sketches: Array[TupleSketch] = parts.flatMap(decode[Array[TupleSketch]])
     def size: Long = parts.iterator.map(_.length.toLong).sum
+  }
+
+  /** A serialized `ImputePlan`. `plan` decodes it on first read, once per
+    * JVM, unless `local` already holds it.
+    */
+  private[spark] final class PlanBytes(val bytes: Array[Byte]) extends Serializable {
+    @transient @volatile private[spark] var local: ImputePlan = _
+    @transient lazy val plan: ImputePlan = if (local != null) local else decode[ImputePlan](bytes)
   }
 
   /** One batch's segment: its broadcast, and the driver's reference to the
@@ -279,7 +298,7 @@ object SparkTER {
     */
   private[spark] final class BatchTask(
       view: View,
-      plan: Broadcast[ImputePlan],
+      plan: Broadcast[PlanBytes],
       k: Set[String],
       gamma: Double,
       alpha: Double,
@@ -292,7 +311,7 @@ object SparkTER {
       val matches  = Array.newBuilder[(Long, Long)]
       var tests    = 0L
       rows.foreach { case (row, p) =>
-        val q      = plan.value.sketch(row.toRecord, ledger)
+        val q      = plan.value.plan.sketch(row.toRecord, ledger)
         val qHasKw = q.hasAnyKeyword(k)
         var s      = 0
         while (s < p.from.length) {
@@ -312,17 +331,17 @@ object SparkTER {
     }
   }
 
-  /** Sketches to bytes and back with Spark's serializer, the one it uses for
-    * task results and broadcasts.
+  /** Sketches and plans to bytes and back with Spark's serializer, the one
+    * it uses for task results and broadcasts.
     */
-  private def encode(sketches: Array[TupleSketch]): Array[Byte] = {
-    val buf = SparkEnv.get.serializer.newInstance().serialize(sketches)
+  private def encode[T: ClassTag](o: T): Array[Byte] = {
+    val buf = SparkEnv.get.serializer.newInstance().serialize(o)
     val out = new Array[Byte](buf.remaining)
     buf.get(out)
     out
   }
-  private def decode(bytes: Array[Byte]): Array[TupleSketch] =
-    SparkEnv.get.serializer.newInstance().deserialize[Array[TupleSketch]](ByteBuffer.wrap(bytes))
+  private def decode[T: ClassTag](bytes: Array[Byte]): T =
+    SparkEnv.get.serializer.newInstance().deserialize[T](ByteBuffer.wrap(bytes))
 
   private def pairKey(q: TupleSketch, c: TupleSketch): (Long, Long) = (math.min(q.rid, c.rid), math.max(q.rid, c.rid))
 }

@@ -68,4 +68,24 @@ object RulesProps extends Properties("Rules") {
         }
       }
     }
+
+  /** `hi` at the distance `1 − i/(n − i)` of a drawn overlap, where `need`
+    * steps, with and without the slack, and at a uniform draw.
+    */
+  private val needHis: Gen[Seq[Double]] = for {
+    u <- Gen.choose(0.0, 1.0)
+    n <- Gen.choose(1, 2 * DistRange.TableN)
+    i <- Gen.choose(0, n - 1)
+  } yield {
+    val step = 1.0 - i.toDouble / (n - i)
+    around(Seq(u, 0.0, 1.0, step, step - 1e-12))
+  }
+
+  property("the need table equals the binary search for every n and top") =
+    Prop.forAll(needHis) { his =>
+      his.forall { hi =>
+        val range = DistRange(0.0, hi)
+        (1 to 2 * DistRange.TableN).forall(n => (0 to n + 2).forall(top => range.need(n, top) == range.search(n, top)))
+      }
+    }
 }

@@ -96,6 +96,20 @@ class EngineSpec extends AnyFunSuite {
     }
   }
 
+  test("signature-settled refinements are counted apart and change no Fig. 4 counter") {
+    val s   = results(TERiDS).stats
+    val b   = Harness.base(cfg.profile)
+    val ref = new MemberLoop(b.profile.d, Harness.rules(cfg.profile, cfg.eta, UseCDD),
+      new Repo(Harness.repo(cfg.profile, cfg.eta).rows), Harness.pivots(cfg.profile, cfg.eta),
+      Params(ERSynth.defaultKeywords(b), cfg.gamma, cfg.alpha, cfg.w), TERiDS)
+    val (sa, sb) = ERSynth.mask(b, cfg.xi, cfg.m)
+    ref.run(Seq(sa, sb).map(_.take(cfg.maxSteps)))
+    // The reference books every refinement from the full enumeration.
+    assert(MemberLoop.counters(s) == MemberLoop.counters(ref.stats))
+    assert(s.refineSettled == ref.settled && ref.settled > 0 && ref.enumerated > 0)
+    assert(s.refineSettled + ref.enumerated == s.refinedFull + s.prunedInstancePair + s.matchedPairs)
+  }
+
   test("naive engines never report pruning") {
     Seq(CddEr, DdEr, ErEr, ConEr).foreach { m =>
       val s = results(m).stats

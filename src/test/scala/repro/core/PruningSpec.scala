@@ -63,7 +63,8 @@ class PruningSpec extends AnyFunSuite {
     // Distances to pivot on 3 attrs: {0.3, 0.3, [0.1,0.2]} vs {0.7, 0.8, [0.7,0.9]}.
     def mk(lo: Array[Double], hi: Array[Double]) =
       TupleSketch(ImputedTuple(0, 0, 0, Vector.fill(3)(Vector(("x", 1.0))), Vector.empty), Set.empty,
-        lo.indices.map(k => AttrSketch(1, 1, Array(lo(k)), Array(hi(k)), Array((lo(k) + hi(k)) / 2))).toVector)
+        lo.indices.map(k => AttrSketch(1, 1, Array(lo(k)), Array(hi(k)), Array((lo(k) + hi(k)) / 2))).toVector,
+        Array.fill(3 * TupleSketch.SigWords)(-1L))
     val s1 = mk(Array(0.3, 0.3, 0.1), Array(0.3, 0.3, 0.2))
     val s2 = mk(Array(0.7, 0.8, 0.7), Array(0.7, 0.8, 0.9))
     assert(math.abs(Pruning.ubSimByPivot(s1, s2) - 1.6) < 1e-12)

@@ -10,12 +10,18 @@ import repro.index.ERGrid
   * Ij+GER, with the candidate loop the engine ran before the ER-grid split
   * its cells by topic. Every arrival walks every member of every non-empty
   * cell (`ERGrid.nonEmptyCells`, ascending cell order) and tests a tuple in
-  * the first cell that holds it.
+  * the first cell that holds it. A pair that reaches refinement is booked
+  * from `Pruning.refine`'s full enumeration, so the counters also stand for
+  * `Pruning.testPair` without its token-signature shortcut; `settled` and
+  * `enumerated` count the refinements `testPair` settled from the
+  * signatures and those it enumerated.
   */
 final class MemberLoop(d: Int, rules: Seq[Rule], repo: Repo, pivots: Pivots, params: Params, method: Method) {
   require(method == TERiDS || method == IjGer, s"$method does not use the ER-grid")
 
-  val stats = new RunStats
+  val stats            = new RunStats
+  var settled: Long    = 0
+  var enumerated: Long = 0
 
   private val k    = params.keywordTokens
   private val plan = new ImputePlan(method, rules, repo, pivots, k)
@@ -66,7 +72,9 @@ final class MemberLoop(d: Int, rules: Seq[Rule], repo: Repo, pivots: Pivots, par
             case Pruning.KeywordPruned => stats.prunedKeyword += 1
             case Pruning.SimUBPruned   => stats.prunedSimUB += 1
             case Pruning.ProbUBPruned  => stats.prunedProbUB += 1
-            case r: Pruning.Refined    =>
+            case t: Pruning.Refined    =>
+              if (t.bySignature) settled += 1 else enumerated += 1
+              val r = Pruning.refine(q.t, c.t, k, params.gamma, params.alpha)
               stats.instancePairsChecked += r.pairsChecked
               if (r.matched) addMatch(q.rid, c.rid)
               else if (r.earlyStopped) stats.prunedInstancePair += 1

@@ -169,17 +169,32 @@ class SparkTERSpec extends SparkSpec {
       val got  = copy.sketches
       assert(got eq copy.sketches)
       assert(got.map(_.rid).toSeq == h.sketches.map(_.rid).toSeq)
-      got.filter(q => driver.contains(q.rid)).foreach { q =>
-        val o = driver(q.rid)
-        assert((q.sid, q.ts, q.kw) == (o.sid, o.ts, o.kw))
-        assert(q.t.instances == o.t.instances)
-        assert(q.attrs.size == o.attrs.size)
-        q.attrs.zip(o.attrs).foreach { case (a, b) =>
-          assert((a.sizeMin, a.sizeMax) == (b.sizeMin, b.sizeMax))
-          assert(a.distLo.sameElements(b.distLo) && a.distHi.sameElements(b.distHi) && a.distE.sameElements(b.distE))
-        }
-      }
+      got.filter(q => driver.contains(q.rid)).foreach(q => assertSameSketch(q, driver(q.rid)))
     }
+  }
+
+  private def assertSameSketch(q: TupleSketch, o: TupleSketch): Unit = {
+    assert((q.rid, q.sid, q.ts, q.kw) == (o.rid, o.sid, o.ts, o.kw))
+    assert(q.t.instances == o.t.instances)
+    assert(q.sig.sameElements(o.sig))
+    assert(q.attrs.size == o.attrs.size)
+    q.attrs.zip(o.attrs).foreach { case (a, b) =>
+      assert((a.sizeMin, a.sizeMax) == (b.sizeMin, b.sizeMax))
+      assert(a.distLo.sameElements(b.distLo) && a.distHi.sameElements(b.distHi) && a.distE.sameElements(b.distE))
+    }
+  }
+
+  test("the plan holder decodes, once, to a plan that sketches as the driver's does") {
+    val ter = mkSparkTer()
+    ter.runStreams(streams.map(_.take(25)), batchTs = 25)
+    val h = ter.planHolder
+    assert(h.plan eq h.local) // the driver's JVM decodes nothing
+    val copy = new ObjectInputStream(new ByteArrayInputStream(javaBytes(h))).readObject().asInstanceOf[SparkTER.PlanBytes]
+    val got  = copy.plan
+    assert(copy.local == null && (got ne h.plan) && (got eq copy.plan))
+    val incomplete = streams.flatten.filterNot(_.isComplete).take(20)
+    assert(incomplete.nonEmpty)
+    incomplete.foreach(r => assertSameSketch(got.sketch(r, new RunStats), h.plan.sketch(r, new RunStats)))
   }
 
   test("window state never exceeds w per stream") {
