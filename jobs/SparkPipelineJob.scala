@@ -9,10 +9,8 @@ import repro.spark.SparkTER
 /** Runs the TER-iDS Spark dataflow pipeline over a data set end-to-end
   * (micro-batched stateful window join) and reports the F-score against the
   * Eq. 2 ground truth — the distributed counterpart of the core engine —
-  * with `SparkTER.stats`: the batches, the time in Spark jobs, in
-  * same-batch pair tests on the driver and in segment broadcasts, the bytes
-  * broadcast as segments, and the pair tests made in tasks and on the
-  * driver:
+  * with `SparkTER.stats`: the batches, the time in Spark jobs and in the
+  * driver's window join, and the ledger as `Smoke` prints it:
   *
   *   spark-submit --class repro.jobs.SparkPipelineJob <jar> [dataset] [batchTs]
   */
@@ -44,8 +42,8 @@ object SparkPipelineJob {
       val st  = ter.stats
       println(f"dataset=${profile.name} batchTs=$batchTs pairs=${found.size} " +
         f"P=${prf.precision}%.4f R=${prf.recall}%.4f F=${prf.f}%.4f wall=${secs}%.1fs " +
-        f"batches=${st.batches} job=${st.jobNanos / 1e9}%.2fs driverPairs=${st.driverPairNanos / 1e9}%.3fs " +
-        f"broadcast=${st.broadcastNanos / 1e9}%.3fs segmentBytes=${st.segmentBytes} taskTests=${st.taskPairTests} driverTests=${st.driverPairTests}")
+        f"batches=${st.batches} job=${st.jobNanos / 1e9}%.2fs match=${st.matchNanos / 1e9}%.3fs")
+      println(Smoke.ledger(st.run))
     } finally spark.stop()
   }
 }

@@ -76,6 +76,20 @@ final class RunStats extends Serializable {
       "instancePair"  -> prunedInstancePair / t,
     )
   }
+
+  /** Add `o`'s counters and timers to these (`SparkTER` folds its tasks'
+    * ledgers into its engine's).
+    */
+  def add(o: RunStats): Unit = {
+    steps += o.steps; pairsTotal += o.pairsTotal; prunedKeyword += o.prunedKeyword; prunedSimUB += o.prunedSimUB
+    prunedProbUB += o.prunedProbUB; prunedInstancePair += o.prunedInstancePair; refinedFull += o.refinedFull
+    matchedPairs += o.matchedPairs; instancePairsChecked += o.instancePairsChecked; refineSettled += o.refineSettled
+    gridRecomputes += o.gridRecomputes; gridMembersVisited += o.gridMembersVisited
+    imputeSamplesChecked += o.imputeSamplesChecked; neighborsChecked += o.neighborsChecked
+    imputedTuples += o.imputedTuples; imputedAttrs += o.imputedAttrs; sentinelFallbacks += o.sentinelFallbacks
+    instanceCapBinds += o.instanceCapBinds; droppedMass += o.droppedMass
+    cddSelectNanos += o.cddSelectNanos; imputeNanos += o.imputeNanos; erNanos += o.erNanos
+  }
 }
 
 /** The TER-iDS engine (Algorithms 1–2), configured as one of the six §6.1
@@ -117,7 +131,7 @@ final class Engine(
   private val keywords = params.keywordTokens
 
   /** The method's rule-based imputation; con+ER imputes from the window. */
-  private val plan: Option[ImputePlan] =
+  private[repro] val plan: Option[ImputePlan] =
     if (method == ConEr) None else Some(new ImputePlan(method, rules, repoOpt.get, pivots, keywords))
   private val grid: Option[ERGrid] =
     if (indexed) Some(new ERGrid(d, Engine.CellsPerDim)) else None
@@ -138,6 +152,9 @@ final class Engine(
   def currentES: Set[(Long, Long)] = es.toSet
   def allMatches: Set[(Long, Long)] = allEver.toSet
   def windowSize(sid: Int): Int    = windows.get(sid).map(_.size).getOrElse(0)
+  def windowState: Seq[TupleSketch] = windows.valuesIterator.flatMap(_.iterator.map(_._2)).toSeq
+  /** `allMatches` in the order found, not copied. */
+  private[repro] def found: collection.Set[(Long, Long)] = allEver
 
   private def pairKey(a: Long, b: Long): (Long, Long) = if (a < b) (a, b) else (b, a)
 
@@ -167,11 +184,14 @@ final class Engine(
 
   /** con+ER: an arrival copies its stream's most recent complete tuple. */
   private def sketchFromWindow(r: Record): TupleSketch = {
+    val t0 = System.nanoTime()
     val t =
       if (r.isComplete) Imputer.imputeComplete(r)
       else Imputer.imputeFromWindow(r, windows(r.sid).collect { case (c, _) if c.isComplete => (c.ts, c.attrs.map(_.get)) },
         stats)
-    TupleSketch.of(t, pivots, keywords)
+    val sk = TupleSketch.of(t, pivots, keywords)
+    stats.imputeNanos += System.nanoTime() - t0
+    sk
   }
 
   /** Candidate matching for one arrival against the current windows. */
@@ -246,20 +266,23 @@ final class Engine(
   }
 
   /** Advance one timestamp with one arrival per (subset of) stream(s). */
-  def step(arrivals: Seq[Record]): Unit = {
+  def step(arrivals: Seq[Record]): Unit = step(arrivals, null)
+
+  /** [[step]] with the arrivals' sketches, in order, made elsewhere with this
+    * engine's `plan` (`SparkTER`'s tasks); `null` sketches them here.
+    */
+  private[repro] def step(arrivals: Seq[Record], sketches: Array[TupleSketch]): Unit = {
     // Eviction cuts each stream to w - 1 tuples once per arrival, so a second
     // arrival of a stream in the same timestamp would overflow its window.
     require(arrivals.map(_.sid).distinct.size == arrivals.size,
       s"two arrivals of one stream at ts ${arrivals.head.ts}: a stream takes one arrival per timestamp")
+    require(arrivals.forall(_.attrs.size == d), s"an arrival at ts ${arrivals.head.ts} does not have d = $d attributes")
     stats.steps += 1
     arrivals.foreach(r => evict(r.sid))
+    var i = 0
     arrivals.foreach { r =>
-      val cddBefore = stats.cddSelectNanos
-      val t0 = System.nanoTime()
-      val sk = plan.fold(sketchFromWindow(r))(_.sketch(r, stats))
-      // The plan charges rule selection to cddSelectNanos; keep the two
-      // break-up buckets disjoint (Fig. 6).
-      stats.imputeNanos += (System.nanoTime() - t0) - (stats.cddSelectNanos - cddBefore)
+      val sk = if (sketches != null) sketches(i) else plan.fold(sketchFromWindow(r))(_.sketch(r, stats))
+      i += 1
       val t1 = System.nanoTime()
       matchArrival(sk)
       stats.erNanos += System.nanoTime() - t1

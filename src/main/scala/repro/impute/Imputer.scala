@@ -183,25 +183,31 @@ final class ImputePlan(method: Method, rules: Seq[Rule], repo: Repo, pivots: Piv
     if (method == TERiDS && repo.size >= Engine.DrIndexMinRepo) Some(new DRIndex(repo, pivots, Set.empty)) else None
 
   /** Impute r and sketch it. Books into `stats` the rule-selection time
-    * (`cddSelectNanos`), the samples and domain values verified, and the
-    * imputation-quality counters of an incomplete r.
+    * (`cddSelectNanos`) and the rest (`imputeNanos`), the samples and domain
+    * values verified, and the imputation-quality counters of an incomplete r.
     */
   def sketch(r: Record, stats: RunStats): TupleSketch = {
+    require(r.attrs.size == repo.d, s"record ${r.rid} has ${r.attrs.size} attributes, not d = ${repo.d}")
+    val t0  = System.nanoTime()
+    var cdd = 0L
     val t =
       if (r.isComplete) Imputer.imputeComplete(r)
       else {
         val rp       = r.probes // r's values tokenized once, for every step below
-        val t0       = System.nanoTime()
+        val t1       = System.nanoTime()
         val selected = r.missing.map { j =>
           j -> cddIndex.fold(rules.filter(rule => rule.dep == j && rule.applicableTo(r)))(_.select(r, rp, j))
         }.toMap
-        stats.cddSelectNanos += System.nanoTime() - t0
+        cdd = System.nanoTime() - t1
+        stats.cddSelectNanos += cdd
         val finder = drIndex.fold(Imputer.allSamples(repo))(_.finderFor(rp))
         val dists = r.attrs.indices.map { j =>
           r.attrs(j).fold(Imputer.valueDistribution(r, rp, j, selected(j), repo, finder, indexed, stats))(v => Vector((v, 1.0)))
         }.toVector
         ImputedTuple(r.rid, r.sid, r.ts, dists, Imputer.assemble(dists, stats))
       }
-    TupleSketch.of(t, pivots, keywords)
+    val sk = TupleSketch.of(t, pivots, keywords)
+    stats.imputeNanos += System.nanoTime() - t0 - cdd
+    sk
   }
 }

@@ -203,6 +203,17 @@ class EngineSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](eng.step(Seq(sa(1), sb(1), sa(2))))
   }
 
+  test("an arrival without d attributes is rejected before it touches any state") {
+    val (sa, sb) = ERSynth.mask(Harness.base(cfg.profile), cfg.xi, cfg.m)
+    Seq(TERiDS, ConEr).foreach { m =>
+      val eng = Harness.engineFor(m, cfg)
+      intercept[IllegalArgumentException](eng.step(Seq(sa(0), sb(0).copy(attrs = sb(0).attrs.init))))
+      assert(eng.stats.steps == 0 && eng.windowSize(0) == 0 && eng.windowSize(1) == 0, s"$m")
+      eng.run(Seq(sa, sb), cfg.maxSteps)
+      assert(eng.allMatches == results(m).found, s"$m")
+    }
+  }
+
   test("Params rejects a window below 1, alpha outside [0, 1] and a negative or non-finite gamma") {
     val kw = Set("topic0")
     Seq((2.0, 0.5, 0), (2.0, 0.5, -3), (2.0, -0.1, 5), (2.0, 1.1, 5), (2.0, Double.NaN, 5),

@@ -7,9 +7,9 @@ import repro.core._
 import repro.data.ERSynth
 import repro.eval._
 
-/** The Spark pipeline must produce exactly the same entity set as the
-  * single-node engine: it runs the engine's imputation and pair test against
-  * the engine's count-based windows.
+/** The Spark pipeline must produce exactly the same entity set and ledger
+  * as the single-node engine: its tasks run the engine's imputation, and its
+  * driver runs the engine's window join.
   */
 class SparkTERSpec extends SparkSpec {
 
@@ -51,52 +51,47 @@ class SparkTERSpec extends SparkSpec {
     assert(r1 == coreFound)
   }
 
-  test("batch = 1 timestamp: a task tests every pair across timestamps") {
+  /** Every counter of `RunStats` but `droppedMass` and `neighborsChecked`,
+    * which tasks that share the neighbor memo book differently.
+    */
+  private def counters(s: RunStats): Seq[Long] = Seq(s.steps, s.pairsTotal, s.prunedKeyword, s.prunedSimUB,
+    s.prunedProbUB, s.prunedInstancePair, s.refinedFull, s.matchedPairs, s.instancePairsChecked, s.refineSettled,
+    s.gridRecomputes, s.gridMembersVisited, s.imputeSamplesChecked, s.imputedTuples, s.imputedAttrs,
+    s.sentinelFallbacks, s.instanceCapBinds)
+
+  /** One batch per timestamp: every pair, across timestamps or within one,
+    * meets in the driver's engine after its tasks have sketched both sides.
+    */
+  private lazy val perTimestamp = {
     val ter = mkSparkTer()
     assert(ter.runStreams(streams, batchTs = 1) == coreFound)
-    // Only the two arrivals of one timestamp meet on the driver.
-    assert(ter.stats.driverPairTests == cfg.maxSteps)
-    assert(ter.stats.taskPairTests + ter.stats.driverPairTests == coreEngine.stats.pairsTotal)
-    assert(ter.stats.batches == cfg.maxSteps)
+    ter
+  }
+
+  test("batch = 1 timestamp: a task tests every pair across timestamps") {
+    assert(perTimestamp.allMatches == coreFound)
+    assert(perTimestamp.stats.run.pairsTotal == coreEngine.stats.pairsTotal)
+    assert(perTimestamp.stats.batches == cfg.maxSteps)
   }
 
   test("the tasks' imputation ledger equals the engine's") {
-    val ter = mkSparkTer()
-    ter.runStreams(streams, batchTs = 25)
-    val (s, e) = (ter.stats, coreEngine.stats)
-    assert(e.imputedAttrs > 0 && e.sentinelFallbacks > 0)
-    assert(s.imputeSamplesChecked == e.imputeSamplesChecked)
-    assert(s.imputedTuples == e.imputedTuples)
-    assert(s.imputedAttrs == e.imputedAttrs)
-    assert(s.sentinelFallbacks == e.sentinelFallbacks)
-    assert(s.instanceCapBinds == e.instanceCapBinds)
-    // Summed per task, so in another order than the engine's.
-    assert(math.abs(s.droppedMass - e.droppedMass) <= 1e-9)
+    val e = coreEngine.stats
+    assert(e.imputedAttrs > 0 && e.sentinelFallbacks > 0 && e.refineSettled > 0)
+    Seq(1, 25, cfg.maxSteps + 1).foreach { batchTs =>
+      val ter = if (batchTs == 1) perTimestamp else { val t = mkSparkTer(); t.runStreams(streams, batchTs); t }
+      assert(ter.allMatches == coreFound, s"batchTs $batchTs")
+      val s = ter.stats.run
+      assert(counters(s) == counters(e), s"batchTs $batchTs")
+      // Summed per task, so in another order than the engine's.
+      assert(math.abs(s.droppedMass - e.droppedMass) <= 1e-9, s"batchTs $batchTs")
+    }
   }
 
   test("one batch longer than the stream: the driver tests every pair") {
     val ter = mkSparkTer()
     assert(ter.runStreams(streams, batchTs = cfg.maxSteps + 1) == coreFound)
-    assert(ter.stats.taskPairTests == 0)
-    assert(ter.stats.driverPairTests == coreEngine.stats.pairsTotal)
+    assert(ter.stats.run.pairsTotal == coreEngine.stats.pairsTotal)
     assert(ter.stats.batches == 1)
-  }
-
-  test("a window segment lives exactly while a window references it") {
-    Seq(1, 7, 25, 79, 80, 200).foreach { batchTs =>
-      val ter = mkSparkTer()
-      ter.runStreams(streams, batchTs)
-      assert(ter.liveSegments == ter.referencedSegments, s"batchTs $batchTs")
-      // The last w timestamps span the last batch and at most ⌈(w − 1)/batchTs⌉ before it.
-      assert(ter.liveSegments <= (cfg.w - 1 + batchTs - 1) / batchTs + 1, s"batchTs $batchTs")
-    }
-    // A stream that ends early keeps the segments of its last window alive.
-    val c        = cfg.copy(w = 40)
-    val (sa, sb) = ERSynth.mask(b, c.xi, c.m)
-    val ter      = mkSparkTer(c)
-    ter.runStreams(Seq(sa.take(400), sb.take(120)), batchTs = 25)
-    assert(ter.liveSegments == ter.referencedSegments)
-    assert(ter.liveSegments == 4) // batches [75, 100) and [100, 125) for B, [350, 375) and [375, 400) for A
   }
 
   test("a batch that breaks whole timestamps is rejected") {
@@ -126,12 +121,20 @@ class SparkTERSpec extends SparkSpec {
     ter.processBatch(rows(75, cfg.maxSteps))
     assert(ter.allMatches == coreFound)
     assert(ter.stats.batches == 3)
-    assert(ter.stats.taskPairTests + ter.stats.driverPairTests == coreEngine.stats.pairsTotal)
-    assert(ter.liveSegments == ter.referencedSegments)
+    assert(ter.stats.run.pairsTotal == coreEngine.stats.pairsTotal)
+  }
+
+  test("an arrival without d attributes fails its job; the batch consumes nothing") {
+    val ter   = mkSparkTer()
+    val rows  = (0 until 25).flatMap(t => streams.map(s => RecordRow.of(s(t))))
+    val short = rows.updated(7, rows(7).copy(attrs = rows(7).attrs.init))
+    intercept[SparkException](ter.processBatch(short))
+    assert(ter.stats.batches == 0 && ter.windowState.isEmpty)
+    assert(ter.runStreams(streams, batchTs = 25) == coreFound)
   }
 
   test("the batch task is a named class, not a lambda") {
-    val c = mkSparkTer().taskFor(Array(0, 1)).getClass
+    val c = mkSparkTer().task.getClass
     assert(!c.isSynthetic)
     assert(!c.getName.contains("$anonfun$") && !c.getName.contains("$$Lambda"), c.getName)
   }
@@ -142,35 +145,6 @@ class SparkTERSpec extends SparkSpec {
     out.writeObject(o)
     out.close()
     bos.toByteArray
-  }
-
-  test("a task carries index arrays, not sketches: about 8 bytes per window position") {
-    val c = cfg.copy(w = 300)
-    def taskBytes(steps: Int): Int = {
-      val ter = mkSparkTer(c)
-      ter.runStreams(streams.map(_.take(steps)), batchTs = 150)
-      assert(ter.windowState.size == 2 * steps && ter.liveSegments == 1)
-      javaBytes(ter.taskFor(Array(0, 1))).length
-    }
-    // 30 and 300 positions of one segment: a segment and a stream index per position.
-    val growth = taskBytes(150) - taskBytes(15)
-    assert(growth >= 8 * 270 && growth <= 8 * 270 + 64, s"$growth bytes for 270 more positions")
-  }
-
-  test("a segment holder decodes to the driver's sketches, once") {
-    val ter = mkSparkTer()
-    ter.runStreams(streams, batchTs = 25)
-    val driver  = ter.windowState.map(q => q.rid -> q).toMap
-    val holders = ter.segmentHolders
-    assert(holders.map(_.size).sum <= ter.stats.segmentBytes)
-    assert(holders.flatMap(_.sketches).count(q => driver.contains(q.rid)) == driver.size)
-    holders.foreach { h =>
-      val copy = new ObjectInputStream(new ByteArrayInputStream(javaBytes(h))).readObject().asInstanceOf[SparkTER.SegmentBytes]
-      val got  = copy.sketches
-      assert(got eq copy.sketches)
-      assert(got.map(_.rid).toSeq == h.sketches.map(_.rid).toSeq)
-      got.filter(q => driver.contains(q.rid)).foreach(q => assertSameSketch(q, driver(q.rid)))
-    }
   }
 
   private def assertSameSketch(q: TupleSketch, o: TupleSketch): Unit = {
