@@ -22,23 +22,21 @@ import repro.impute.Repo
   *     2-determinant CDDs when the conjunction tightens the dependent
   *     interval (the lattice's Level-2 rules, Fig. 2).
   *
-  * All sampling is seeded, so mining is deterministic in (R, cfg).
+  * All sampling is seeded, so mining is deterministic in R.
   */
 object RuleMiner {
 
-  final case class Config(
-      samplePairs: Int = 4000,
-      epsCandidates: Seq[Double] = Seq(0.2, 0.3, 0.4, 0.5),
-      minSupport: Int = 5,
-      depQuantile: Double = 0.95,     // approximate-DD tolerance to sampling noise
-      maxDep: Double = 0.55,          // CDD tightness: max accepted dependent radius
-      ddMaxDep: Double = 0.85,        // DD tightness (looser ⇒ more samples, worse accuracy)
-      constMinCount: Int = 2,
-      intervalLevels: Int = 2,        // emit up to this many eps levels per (x, j)
-      maxConstRulesPerPair: Int = 150,
-      withinGroupPairs: Int = 60,
-      seed: Long = 42,
-  )
+  private val SamplePairs          = 4000
+  private val EpsCandidates        = Seq(0.2, 0.3, 0.4, 0.5)
+  private val MinSupport           = 5
+  private val DepQuantile          = 0.95 // approximate-DD tolerance to sampling noise
+  private[cdd] val MaxDep          = 0.55 // CDD tightness: max accepted dependent radius
+  private[cdd] val DdMaxDep        = 0.85 // DD tightness (looser ⇒ more samples, worse accuracy)
+  private val ConstMinCount        = 2
+  private val IntervalLevels       = 2    // emit up to this many eps levels per (x, j)
+  private val MaxConstRulesPerPair = 150
+  private val WithinGroupPairs     = 60
+  private val Seed                 = 42L
 
   /** Pairwise per-attribute Jaccard distances of a deterministic pair
     * sample. Uniform random pairs of textual tuples are almost surely
@@ -47,8 +45,8 @@ object RuleMiner {
     * similar* pairs via a token-blocking inverted index (pairs sharing at
     * least one token on some attribute), plus a uniform background sample.
     */
-  private def samplePairDists(repo: Repo, cfg: Config): Array[(Int, Int, Array[Double])] = {
-    val rnd  = new Random(cfg.seed)
+  private def samplePairDists(repo: Repo): Array[(Int, Int, Array[Double])] = {
+    val rnd  = new Random(Seed)
     val n    = repo.size
     val seen = scala.collection.mutable.HashSet.empty[(Int, Int)]
     val sel  = Array.newBuilder[(Int, Int)]
@@ -62,7 +60,7 @@ object RuleMiner {
       repo.tokenRows.indices.foreach { i =>
         repo.tokenRows(i)(x).foreach(t => inv.update(t, i :: inv.getOrElse(t, Nil)))
       }
-      val budget = cfg.samplePairs / (2 * repo.d)
+      val budget = SamplePairs / (2 * repo.d)
       var taken  = 0
       inv.valuesIterator.filter(_.lengthCompare(1) > 0).toVector.sortBy(_.head).foreach { ids =>
         val v = ids.toVector
@@ -75,7 +73,7 @@ object RuleMiner {
     }
     // Uniform background pairs.
     var k = 0
-    while (k < cfg.samplePairs / 2) { add(rnd.nextInt(n), rnd.nextInt(n)); k += 1 }
+    while (k < SamplePairs / 2) { add(rnd.nextInt(n), rnd.nextInt(n)); k += 1 }
     sel.result().map { case (i1, i2) =>
       val ds = Array.tabulate(repo.d)(x => Text.jdist(repo.tokenRows(i1)(x), repo.tokenRows(i2)(x)))
       (i1, i2, ds)
@@ -88,16 +86,16 @@ object RuleMiner {
   }
 
   /** Single-determinant interval (DD-style) rules under a dependent-radius cap. */
-  private def intervalRules(repo: Repo, cfg: Config, depCap: Double,
+  private def intervalRules(repo: Repo, depCap: Double,
                             pairs: Array[(Int, Int, Array[Double])]): Vector[Rule] = {
     val out = Vector.newBuilder[Rule]
     for (j <- 0 until repo.d; x <- 0 until repo.d if x != j) {
       var emitted = 0
-      cfg.epsCandidates.foreach { eps =>
-        if (emitted < cfg.intervalLevels) {
+      EpsCandidates.foreach { eps =>
+        if (emitted < IntervalLevels) {
           val sel = pairs.filter(_._3(x) <= eps + 1e-12)
-          if (sel.length >= cfg.minSupport) {
-            val hj = quantile(sel.map(_._3(j)), cfg.depQuantile)
+          if (sel.length >= MinSupport) {
+            val hj = quantile(sel.map(_._3(j)), DepQuantile)
             if (hj <= depCap) {
               out += Rule(j, Map(x -> DistRange(0.0, eps)), 0.0, hj)
               emitted += 1
@@ -110,9 +108,9 @@ object RuleMiner {
   }
 
   /** Constant (editing-rule-style) rules: A_x = v ⇒ dependent distance ≤ h. */
-  private def constantRules(repo: Repo, cfg: Config, depCap: Double, exactDep: Boolean,
+  private def constantRules(repo: Repo, depCap: Double, exactDep: Boolean,
                             onlyForPairs: Set[(Int, Int)]): Vector[Rule] = {
-    val rnd = new Random(cfg.seed + 1)
+    val rnd = new Random(Seed + 1)
     val out = Vector.newBuilder[Rule]
     for (j <- 0 until repo.d; x <- 0 until repo.d if x != j) {
       if (onlyForPairs.isEmpty || onlyForPairs.contains((x, j))) {
@@ -120,10 +118,10 @@ object RuleMiner {
         var added  = 0
         // Deterministic order: most frequent values first, ties by value.
         groups.toSeq.sortBy { case (v, is) => (-is.size, v) }.foreach { case (v, is) =>
-          if (is.size >= cfg.constMinCount && added < cfg.maxConstRulesPerPair) {
+          if (is.size >= ConstMinCount && added < MaxConstRulesPerPair) {
             val dists = Array.newBuilder[Double]
             var k     = 0
-            while (k < cfg.withinGroupPairs) {
+            while (k < WithinGroupPairs) {
               val i1 = is(rnd.nextInt(is.size))
               val i2 = is(rnd.nextInt(is.size))
               if (i1 != i2)
@@ -131,7 +129,7 @@ object RuleMiner {
               k += 1
             }
             val ds = dists.result()
-            val hj = if (ds.isEmpty) 1.0 else quantile(ds, cfg.depQuantile)
+            val hj = if (ds.isEmpty) 1.0 else quantile(ds, DepQuantile)
             if (hj <= depCap) {
               out += Rule(j, Map(x -> ValueEq(v)), 0.0, if (exactDep) 0.0 else hj)
               added += 1
@@ -144,14 +142,14 @@ object RuleMiner {
   }
 
   /** CDD rules: tight interval rules + constant fallback + 2-det combinations. */
-  def mineCDDs(repo: Repo, cfg: Config = Config()): Vector[Rule] = {
-    val pairs  = samplePairDists(repo, cfg)
-    val single = intervalRules(repo, cfg, cfg.maxDep, pairs)
+  def mineCDDs(repo: Repo): Vector[Rule] = {
+    val pairs  = samplePairDists(repo)
+    val single = intervalRules(repo, MaxDep, pairs)
     // Attribute pairs where no interval rule qualified get constant rules.
     val covered   = single.map(r => (r.det.keys.head, r.dep)).toSet
     val allPairs  = (for (j <- 0 until repo.d; x <- 0 until repo.d if x != j) yield (x, j)).toSet
     val uncovered = allPairs -- covered
-    val consts    = constantRules(repo, cfg, cfg.maxDep, exactDep = false, uncovered)
+    val consts    = constantRules(repo, MaxDep, exactDep = false, uncovered)
     // Level-2 combinations of single interval rules on the same dependent.
     val combos = Vector.newBuilder[Rule]
     single.groupBy(_.dep).foreach { case (j, rs) =>
@@ -162,8 +160,8 @@ object RuleMiner {
         val ea       = ra.det(xa).asInstanceOf[DistRange]
         val eb       = rb.det(xb).asInstanceOf[DistRange]
         val sel      = pairs.filter(p => p._3(xa) <= ea.hi + 1e-12 && p._3(xb) <= eb.hi + 1e-12)
-        if (sel.length >= cfg.minSupport) {
-          val hj = quantile(sel.map(_._3(j)), cfg.depQuantile)
+        if (sel.length >= MinSupport) {
+          val hj = quantile(sel.map(_._3(j)), DepQuantile)
           if (hj < math.min(ra.depHi, rb.depHi) - 0.01)
             combos += Rule(j, Map(xa -> ea, xb -> eb), 0.0, hj)
         }
@@ -173,23 +171,15 @@ object RuleMiner {
   }
 
   /** Plain DD rules [35]: interval-only, looser dependent radius. */
-  def mineDDs(repo: Repo, cfg: Config = Config()): Vector[Rule] = {
-    val pairs = samplePairDists(repo, cfg)
-    sortRules(intervalRules(repo, cfg, cfg.ddMaxDep, pairs))
+  def mineDDs(repo: Repo): Vector[Rule] = {
+    val pairs = samplePairDists(repo)
+    sortRules(intervalRules(repo, DdMaxDep, pairs))
   }
 
   /** Editing rules [12]: constants only, dependent values copied exactly. */
-  def mineEditingRules(repo: Repo, cfg: Config = Config()): Vector[Rule] =
-    sortRules(constantRules(repo, cfg, depCap = 0.3, exactDep = true, Set.empty))
+  def mineEditingRules(repo: Repo): Vector[Rule] =
+    sortRules(constantRules(repo, depCap = 0.3, exactDep = true, Set.empty))
 
   private def sortRules(rs: Vector[Rule]): Vector[Rule] =
     rs.distinct.sortBy(r => (r.dep, r.det.keys.min, r.det.size, r.toString))
-
-  /** Mining cost probe for the Fig. 12 reproduction. */
-  final case class Mined(rules: Vector[Rule], nanos: Long)
-  def timedMineCDDs(repo: Repo, cfg: Config = Config()): Mined = {
-    val t0 = System.nanoTime()
-    val rs = mineCDDs(repo, cfg)
-    Mined(rs, System.nanoTime() - t0)
-  }
 }

@@ -99,7 +99,8 @@ final class RunStats extends Serializable {
   *
   * `step(arrivals)` advances one timestamp: evicts expired tuples from each
   * stream's count-based window (Def. 2), imputes each arrival, finds its
-  * matching candidates, prunes, refines, and maintains the entity set ES.
+  * matching candidates, prunes, refines, and logs the matches, from which
+  * the entity set ES is read.
   */
 final class Engine(
     val d: Int,
@@ -110,7 +111,7 @@ final class Engine(
     val method: Method,
 ) {
   /** TER-iDS by its old flag set, which the benchmark still passes by name
-    * (ROADMAP item 6 removes it). Any other flag set is rejected.
+    * (ROADMAP item 3 removes it). Any other flag set is rejected.
     */
   def this(d: Int, rules: Seq[Rule], repoOpt: Option[Repo], pivots: Pivots, @unused vocab: Set[String],
            params: Params, useCddIndex: Boolean, useDrIndex: Boolean, useGrid: Boolean, usePruning: Boolean,
@@ -136,20 +137,19 @@ final class Engine(
   private val grid: Option[ERGrid] =
     if (indexed) Some(new ERGrid(d, Engine.CellsPerDim)) else None
 
-  /** Grid traversals so far; tags which traversal visited a grid entry. */
-  private var traversals = 0L
-
   /** Per-stream sliding windows of (raw record, imputed sketch). */
   private val windows = mutable.Map.empty[Int, mutable.ArrayDeque[(Record, TupleSketch)]]
 
-  /** Current entity set ES (pairs keyed (min rid, max rid)) + adjacency for
-    * O(deg) removal on expiry, and the append-only union for the F-score.
+  /** Every pair found, keyed (min rid, max rid), in the order found. A pair
+    * is tested once, when its later tuple arrives, so the entity set ES is
+    * the pairs whose two tuples are both still in the windows.
     */
-  private val es        = mutable.LinkedHashSet.empty[(Long, Long)]
-  private val adjacency = mutable.Map.empty[Long, mutable.Set[Long]]
-  private val allEver   = mutable.LinkedHashSet.empty[(Long, Long)]
+  private val allEver = mutable.LinkedHashSet.empty[(Long, Long)]
 
-  def currentES: Set[(Long, Long)] = es.toSet
+  def currentES: Set[(Long, Long)] = {
+    val live = windows.valuesIterator.flatMap(_.iterator.map(_._1.rid)).toSet
+    allEver.iterator.filter { case (a, b) => live(a) && live(b) }.toSet
+  }
   def allMatches: Set[(Long, Long)] = allEver.toSet
   def windowSize(sid: Int): Int    = windows.get(sid).map(_.size).getOrElse(0)
   def windowState: Seq[TupleSketch] = windows.valuesIterator.flatMap(_.iterator.map(_._2)).toSeq
@@ -158,27 +158,14 @@ final class Engine(
 
   private def pairKey(a: Long, b: Long): (Long, Long) = if (a < b) (a, b) else (b, a)
 
-  private def addMatch(a: Long, b: Long): Unit = {
-    val k = pairKey(a, b)
-    if (es.add(k)) {
-      adjacency.getOrElseUpdate(a, mutable.Set.empty) += b
-      adjacency.getOrElseUpdate(b, mutable.Set.empty) += a
-      stats.matchedPairs += 1
-    }
-    allEver += k
-  }
+  private def addMatch(a: Long, b: Long): Unit =
+    if (allEver.add(pairKey(a, b))) stats.matchedPairs += 1
 
   private def evict(sid: Int): Unit = {
     val q = windows.getOrElseUpdate(sid, mutable.ArrayDeque.empty)
     while (q.size >= params.w) {
-      val (rec, sk) = q.removeHead()
+      val (_, sk) = q.removeHead()
       grid.foreach(_.remove(sk))
-      adjacency.remove(rec.rid).foreach { partners =>
-        partners.foreach { p =>
-          es.remove(pairKey(rec.rid, p))
-          adjacency.get(p).foreach(_ -= rec.rid)
-        }
-      }
     }
   }
 
@@ -223,17 +210,19 @@ final class Engine(
 
     grid match {
       case Some(g) =>
-        // Only tuples spanning several cells need dedup; point tuples
-        // (complete on every attribute) live in exactly one cell.
-        traversals += 1
-        val visit = traversals
+        // An entry is tested only in its first cell, so a multi-cell entry
+        // is tested once per arrival.
         g.cellsInOrder.foreach { cell =>
-          val agg = cell.aggregate
           // Cell-level prunes: aggregates bound every member, so a pruned
           // cell prunes all its members (soundness argued in DESIGN.md).
-          val cellKwPruned  = !qHasKw && !agg.hasAnyKeyword(k)
-          val cellSimPruned = !cellKwPruned &&
+          // Sketches are built against the query tokens, so a cell holds a
+          // query keyword iff it has a topical member.
+          val cellKwPruned  = !qHasKw && cell.topical.isEmpty
+          val cellSimPruned = !cellKwPruned && {
+            val agg = cell.aggregate
             math.min(Pruning.ubSimBySize(q.attrs, agg.attrs), Pruning.ubSimByPivot(q.attrs, agg.attrs)) <= gamma
+          }
+          // A keyword-pruned cell has no topical member, so it walks nothing.
           val members =
             if (qHasKw) cell.entries
             else {
@@ -249,9 +238,8 @@ final class Engine(
           var i = 0
           while (i < members.length) {
             val e = members(i)
-            if (e.sk.sid != q.sid && (!e.multiCell || e.visit(visit))) {
-              if (cellKwPruned) { stats.pairsTotal += 1; stats.prunedKeyword += 1 }
-              else if (cellSimPruned) { stats.pairsTotal += 1; stats.prunedSimUB += 1 }
+            if (e.sk.sid != q.sid && e.first == cell.id) {
+              if (cellSimPruned) { stats.pairsTotal += 1; stats.prunedSimUB += 1 }
               else tupleLevel(e.sk)
             }
             i += 1

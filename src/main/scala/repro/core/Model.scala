@@ -98,25 +98,6 @@ final case class ImputedTuple(
     instances: Vector[Instance],
 ) {
   def d: Int = attrDists.size
-
-  /** The tokens of `keywords` that ANY possible value of any attribute
-    * contains — used for Theorem 4.1 (prune only if no instance can contain
-    * a query keyword).
-    */
-  def possibleKeywords(keywords: Set[String]): Set[String] = {
-    val b = Set.newBuilder[String]
-    attrDists.foreach(_.foreach { case (v, _) => ImputedTuple.keywordsIn(Text.tokens(v), keywords, b) })
-    b.result()
-  }
-}
-
-object ImputedTuple {
-
-  /** Adds to `b` each of `keywords` that the token array `tk` contains, as
-    * the keyword's own String, so keyword sets compare by reference.
-    */
-  private[core] def keywordsIn(tk: Array[String], keywords: Set[String], b: collection.mutable.Growable[String]): Unit =
-    keywords.foreach(k => if (Text.contains(tk, k)) b += k)
 }
 
 /** Per-attribute aggregates of an imputed tuple (§5.2 cell/tuple aggregates):
@@ -205,7 +186,7 @@ object TupleSketch {
           e(a) += dd * p
           a += 1
         }
-        ImputedTuple.keywordsIn(tk, keywords, kw)
+        keywords.foreach(k => if (Text.contains(tk, k)) kw += k)
         if (tk.length == 0) sig(SigWords * j) |= 1L
         a = 0
         while (a < tk.length) {
@@ -226,6 +207,5 @@ object TupleSketch {
   */
 final case class Pivots(perAttr: Vector[Vector[String]]) {
   val tokens: Vector[Array[Array[String]]] = perAttr.map(_.iterator.map(Text.tokens).toArray)
-  def nPivots(j: Int): Int                 = perAttr(j).size
   def mainTokens(j: Int): Array[String]    = tokens(j)(0)
 }

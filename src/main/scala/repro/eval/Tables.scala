@@ -187,16 +187,22 @@ object Tables {
     timeSweep("m", DefaultParams.ms.map(_.toDouble),
       (p, v) => ExpConfig(p, m = v.toInt, maxSteps = sweepSteps))
 
+  /** `f`'s result and its wall time in seconds. */
+  private def timed[A](f: => A): (A, Double) = {
+    val t0 = System.nanoTime()
+    val a  = f
+    (a, (System.nanoTime() - t0) / 1e9)
+  }
+
   // ── Fig. 11: pivot-selection cost (App. C.1) ───────────────────────────
   def fig11(): (String, Map[(String, Double), Double]) = {
     val etaCost = (for (p <- ERSynth.All; eta <- DefaultParams.etas) yield {
       val repo = ERSynth.repoAt(Harness.base(p), eta)
-      (p.name, eta) -> PivotSelector.timedSelect(repo).nanos / 1e9
+      (p.name, eta) -> timed(PivotSelector.select(repo))._2
     }).toMap
     val cntCost = (for (p <- ERSynth.All; cnt <- 1 to 5) yield {
       val repo = ERSynth.repoAt(Harness.base(p), DefaultParams.eta)
-      (p.name, cnt.toDouble) ->
-        PivotSelector.timedSelect(repo, PivotSelector.Config(cntMax = cnt, eMin = 2.0)).nanos / 1e9
+      (p.name, cnt.toDouble) -> timed(PivotSelector.select(repo, cntMax = cnt, eMin = 2.0))._2
     }).toMap
     val md =
       "(a) vs η\n\n" + Harness.table(
@@ -214,8 +220,8 @@ object Tables {
   def fig12(): (String, Map[String, (Double, Int)]) = {
     val res = ERSynth.All.map { p =>
       val repo = ERSynth.repoAt(Harness.base(p), DefaultParams.eta)
-      val m    = RuleMiner.timedMineCDDs(repo)
-      p.name -> (m.nanos / 1e9, m.rules.size)
+      val (rules, s) = timed(RuleMiner.mineCDDs(repo))
+      p.name -> (s, rules.size)
     }.toMap
     val md = Harness.table(
       Seq("Data set", "|R|", "CDD rules", "detection time (s)"),

@@ -10,23 +10,23 @@ import repro.core.{AttrSketch, TupleSketch}
   * intervals, token-size intervals).
   *
   * Only non-empty cells exist: they sit in a map ordered by flat id, so
-  * neither memory nor a traversal grows with `cellsPerDim^d`.
+  * neither memory nor a traversal grows with `cellsPerDim^d`. An entry
+  * carries its first cell (`Entry.first`, the lowest id of `cellIdsOf`),
+  * where an ascending traversal meets a multi-cell entry first.
   *
-  * Aggregates are maintained incrementally and exactly. Every bound keeps
-  * the number of members that attain it, and every keyword the number of
-  * members that may contain it. An insert folds the sketch in (min, max
-  * and union are exact, so the fold equals a recompute). A remove
-  * decrements the counts the sketch attains: a keyword whose count reaches
-  * zero leaves the keyword set, and only a distance or size bound that
+  * Each cell splits its members by topic: `topical` lists the entries whose
+  * sketch may contain a query keyword, and the keyword-free entries are
+  * only counted, per stream, in their first cell. An arrival without a
+  * keyword walks `topical` and books the counted members without visiting
+  * them.
+  *
+  * Distance and size bounds are maintained incrementally and exactly: every
+  * bound keeps the number of members that attain it. An insert folds the
+  * sketch in (min and max are exact, so the fold equals a recompute). A
+  * remove decrements the counts the sketch attains, and only a bound that
   * loses its last attaining member makes the cell recompute from its
-  * members, when a traversal next reads it.
-  *
-  * Each cell also splits its members by topic: `topical` lists the entries
-  * whose sketch may contain a query keyword, and the keyword-free entries
-  * are only counted, per stream, in the first cell that holds them (the
-  * lowest id of `cellIdsOf`, where an ascending traversal meets a
-  * multi-cell entry first). An arrival without a keyword walks `topical`
-  * and books the counted members without visiting them.
+  * members, when a traversal next reads it. The keyword set is the union of
+  * the `topical` members' keywords, taken when the aggregate is published.
   */
 final class ERGrid(val d: Int, val cellsPerDim: Int) {
   import ERGrid._
@@ -59,16 +59,15 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
 
   def insert(sk: TupleSketch): Unit = {
     val ids = cellIdsOf(sk)
-    val e   = Entry(sk, ids.size > 1)
-    ids.foreach(c => cells.getOrElseUpdate(c, new Cell(c)).add(e, first = c == ids.head))
+    val e   = Entry(sk, ids.size > 1, ids.head)
+    ids.foreach(c => cells.getOrElseUpdate(c, new Cell(c)).add(e))
     liveCount += 1
   }
 
   def remove(sk: TupleSketch): Unit = {
-    val ids = cellIdsOf(sk)
-    ids.foreach { c =>
+    cellIdsOf(sk).foreach { c =>
       cells.get(c).foreach { cell =>
-        if (cell.remove(sk, first = c == ids.head) && cell.entries.isEmpty) cells.remove(c)
+        if (cell.remove(sk) && cell.entries.isEmpty) cells.remove(c)
       }
     }
     liveCount -= 1
@@ -93,9 +92,8 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
 
   /** One cell: its entries, their topical part, per-stream counts of the
     * keyword-free entries it is the first cell of, the running bounds with
-    * the number of members attaining each, per-keyword member counts, and
-    * the last published aggregate (null once a bound or the keyword set
-    * changes).
+    * the number of members attaining each, and the last published aggregate
+    * (null once a bound or the topical members' keyword union may change).
     */
   final class Cell private[ERGrid] (val id: Long) {
     val entries = mutable.ArrayBuffer.empty[Entry]
@@ -122,8 +120,6 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
     private var sMax: Array[Int]         = _
     private var sMinN: Array[Int]        = _
     private var sMaxN: Array[Int]        = _
-    private val kwN                      = mutable.HashMap.empty[String, Int]
-    private var kw                       = Set.empty[String]
 
     /** The bounds and counts describe `entries`; false once a bound lost
       * its last attaining member.
@@ -131,22 +127,25 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
     private var exact = false
     private var agg: CellAgg = _
 
-    /** Adds an entry; `first` if this is the lowest of the entry's cells. */
-    private[ERGrid] def add(e: Entry, first: Boolean): Unit = {
+    private[ERGrid] def add(e: Entry): Unit = {
       entries += e
-      if (e.sk.kw.nonEmpty) topical += e
-      else if (first) countFree(e.sk.sid, 1)
+      if (e.sk.kw.nonEmpty) {
+        topical += e
+        // A union only grows, so a published keyword set that holds the
+        // entry's keywords stays exact.
+        if (agg != null && !e.sk.kw.subsetOf(agg.kw)) agg = null
+      } else if (e.first == id) countFree(e.sk.sid, 1)
       if (exact) fold(e.sk)
       else if (entries.length == 1) rebuild()
     }
 
     /** Removes the entry of `sk`'s tuple; false if the cell does not hold it. */
-    private[ERGrid] def remove(sk: TupleSketch, first: Boolean): Boolean = {
+    private[ERGrid] def remove(sk: TupleSketch): Boolean = {
       val i = entries.indexWhere(e => e.sk.rid == sk.rid && e.sk.sid == sk.sid)
       if (i < 0) return false
       val e = entries.remove(i)
-      if (e.sk.kw.nonEmpty) topical.remove(topical.indexWhere(_ eq e))
-      else if (first) countFree(e.sk.sid, -1)
+      if (e.sk.kw.nonEmpty) { topical.remove(topical.indexWhere(_ eq e)); agg = null }
+      else if (e.first == id) countFree(e.sk.sid, -1)
       if (exact && entries.nonEmpty) unfold(sk)
       true
     }
@@ -159,7 +158,8 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
 
     def aggregate: CellAgg = {
       if (!exact) { rebuild(); rebuilt += 1 }
-      if (agg == null) agg = CellAgg(kw, lo.map(_.clone), hi.map(_.clone), sMin.clone, sMax.clone)
+      if (agg == null)
+        agg = CellAgg(topical.iterator.flatMap(_.sk.kw).toSet, lo.map(_.clone), hi.map(_.clone), sMin.clone, sMax.clone)
       agg
     }
 
@@ -174,8 +174,6 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
       sMax = new Array[Int](d)
       sMinN = new Array[Int](d)
       sMaxN = new Array[Int](d)
-      kwN.clear()
-      kw = Set.empty
       exact = true
       var i = 0
       while (i < entries.length) { fold(entries(i).sk); i += 1 }
@@ -183,11 +181,6 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
     }
 
     private def fold(sk: TupleSketch): Unit = {
-      sk.kw.foreach { k =>
-        val n = kwN.getOrElse(k, 0)
-        if (n == 0) { kw += k; agg = null }
-        kwN(k) = n + 1
-      }
       var j = 0
       while (j < d) {
         val a = sk.attrs(j)
@@ -214,11 +207,6 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
       * attaining member marks the cell for a recompute.
       */
     private def unfold(sk: TupleSketch): Unit = {
-      sk.kw.foreach { k =>
-        val n = kwN(k) - 1
-        if (n == 0) { kwN.remove(k); kw -= k; agg = null }
-        else kwN(k) = n
-      }
       var lost = false
       def drop(counts: Array[Int], i: Int): Unit = {
         counts(i) -= 1
@@ -245,16 +233,11 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
 
 object ERGrid {
 
-  /** A grid entry; `multiCell` marks tuples whose interval box spans more
-    * than one cell (only those need deduplication in a traversal — point
-    * tuples live in exactly one cell).
+  /** A grid entry: `multiCell` marks a tuple whose interval box spans more
+    * than one cell, and `first` is the lowest id of its cells, the one an
+    * ascending traversal tests it in.
     */
-  final case class Entry(sk: TupleSketch, multiCell: Boolean) {
-    private var lastVisit = -1L
-
-    /** Marks the entry as tested by traversal `t`; false if it already was. */
-    def visit(t: Long): Boolean = lastVisit != t && { lastVisit = t; true }
-  }
+  final case class Entry(sk: TupleSketch, multiCell: Boolean, first: Long)
 
   /** Cell aggregates of §5.2: union keyword set, per-attr per-pivot distance
     * intervals minimally bounding all member tuples, and size intervals.

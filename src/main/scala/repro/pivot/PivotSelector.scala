@@ -16,14 +16,10 @@ import repro.impute.Repo
   */
 object PivotSelector {
 
-  final case class Config(
-      buckets: Int = 10,       // P
-      eMin: Double = 1.5,
-      cntMax: Int = 3,
-      candLimit: Int = 40,     // candidate pivot values examined per attribute
-      sampleVals: Int = 300,   // repository values used to score a candidate
-      seed: Long = 7,
-  )
+  private[pivot] val Buckets = 10  // P
+  private val CandLimit       = 40  // candidate pivot values examined per attribute
+  private val SampleVals      = 300 // repository values used to score a candidate
+  private val Seed            = 7L
 
   /** Shannon entropy of the distance histogram of one pivot (Eq. 5). */
   def entropy(pivTokens: Array[String], values: IndexedSeq[Array[String]], buckets: Int): Double = {
@@ -56,29 +52,29 @@ object PivotSelector {
   }
 
   /** Select up to cntMax pivot values for one attribute (main pivot first). */
-  def selectForAttr(repo: Repo, j: Int, cfg: Config = Config()): Vector[String] = {
-    val rnd    = new Random(cfg.seed + j)
+  def selectForAttr(repo: Repo, j: Int, cntMax: Int, eMin: Double): Vector[String] = {
+    val rnd    = new Random(Seed + j)
     val dom    = repo.doms(j)
     val domTok = repo.domTokens(j)
     val sample: IndexedSeq[Array[String]] =
-      if (domTok.length <= cfg.sampleVals) domTok.toIndexedSeq
-      else rnd.shuffle(domTok.indices.toVector).take(cfg.sampleVals).map(domTok(_))
+      if (domTok.length <= SampleVals) domTok.toIndexedSeq
+      else rnd.shuffle(domTok.indices.toVector).take(SampleVals).map(domTok(_))
     val candIdx =
-      if (dom.size <= cfg.candLimit) dom.indices.toVector
-      else rnd.shuffle(dom.indices.toVector).take(cfg.candLimit)
+      if (dom.size <= CandLimit) dom.indices.toVector
+      else rnd.shuffle(dom.indices.toVector).take(CandLimit)
 
     // Main pivot: argmax single entropy (deterministic tie-break by value).
-    val scored = candIdx.map(i => (i, entropy(domTok(i), sample, cfg.buckets)))
+    val scored = candIdx.map(i => (i, entropy(domTok(i), sample, Buckets)))
       .sortBy { case (i, h) => (-h, dom(i)) }
     var chosen  = Vector(scored.head._1)
     var h       = scored.head._2
     // Auxiliary pivots until the joint entropy reaches eMin or cntMax is hit.
-    while (h < cfg.eMin && chosen.size < cfg.cntMax) {
+    while (h < eMin && chosen.size < cntMax) {
       val remaining = candIdx.filterNot(chosen.contains)
-      if (remaining.isEmpty) h = cfg.eMin
+      if (remaining.isEmpty) h = eMin
       else {
         val best = remaining
-          .map(i => (i, jointEntropy((chosen :+ i).map(domTok(_)), sample, cfg.buckets)))
+          .map(i => (i, jointEntropy((chosen :+ i).map(domTok(_)), sample, Buckets)))
           .sortBy { case (i, hh) => (-hh, dom(i)) }
           .head
         chosen = chosen :+ best._1
@@ -88,15 +84,6 @@ object PivotSelector {
     chosen.map(dom)
   }
 
-  def select(repo: Repo, cfg: Config = Config()): Pivots =
-    Pivots((0 until repo.d).map(j => selectForAttr(repo, j, cfg)).toVector)
-
-  final case class Selected(pivots: Pivots, nanos: Long)
-
-  /** Timed selection — the Fig. 11 (App. C.1) cost probe. */
-  def timedSelect(repo: Repo, cfg: Config = Config()): Selected = {
-    val t0 = System.nanoTime()
-    val p  = select(repo, cfg)
-    Selected(p, System.nanoTime() - t0)
-  }
+  def select(repo: Repo, cntMax: Int = 3, eMin: Double = 1.5): Pivots =
+    Pivots((0 until repo.d).map(j => selectForAttr(repo, j, cntMax, eMin)).toVector)
 }

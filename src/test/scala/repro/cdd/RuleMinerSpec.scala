@@ -18,7 +18,7 @@ class RuleMinerSpec extends AnyFunSuite {
     rules.foreach { r =>
       assert(r.dep >= 0 && r.dep < repo.d)
       assert(r.det.nonEmpty && !r.det.contains(r.dep))
-      assert(r.depLo == 0.0 && r.depHi <= RuleMiner.Config().maxDep + 1e-9)
+      assert(r.depLo == 0.0 && r.depHi <= RuleMiner.MaxDep + 1e-9)
     }
   }
 
@@ -45,7 +45,7 @@ class RuleMinerSpec extends AnyFunSuite {
     dds.foreach { r =>
       assert(r.det.size == 1)
       assert(r.det.values.forall(_.isInstanceOf[DistRange]))
-      assert(r.depHi <= RuleMiner.Config().ddMaxDep + 1e-9)
+      assert(r.depHi <= RuleMiner.DdMaxDep + 1e-9)
     }
   }
 
@@ -71,12 +71,6 @@ class RuleMinerSpec extends AnyFunSuite {
   test("rule lists are sorted and duplicate-free") {
     val rules = RuleMiner.mineCDDs(repo)
     assert(rules.distinct == rules)
-  }
-
-  test("timedMineCDDs reports a positive cost and the same rules") {
-    val m = RuleMiner.timedMineCDDs(repo)
-    assert(m.nanos > 0)
-    assert(m.rules == RuleMiner.mineCDDs(repo))
   }
 
   test("a larger repository does not mine fewer constant rules than a tiny one") {

@@ -27,14 +27,14 @@ class ModelSpec extends AnyFunSuite {
     assert(!x.hasKeyword(Set.empty))
   }
 
-  test("ImputedTuple: possibleKeywords unions over the value distribution") {
+  private val pivots = Pivots(Vector(Vector("p q r"), Vector("u v")))
+
+  test("TupleSketch: kw unions the keywords over the value distribution") {
     val t = ImputedTuple(1, 0, 0,
       Vector(Vector(("topic1 x", 0.5), ("y", 0.5)), Vector(("topic2 z", 1.0))),
       Vector.empty)
-    assert(t.possibleKeywords(Set("topic1", "topic2", "topic9")) == Set("topic1", "topic2"))
+    assert(TupleSketch.of(t, pivots, Set("topic1", "topic2", "topic9")).kw == Set("topic1", "topic2"))
   }
-
-  private val pivots = Pivots(Vector(Vector("p q r"), Vector("u v")))
 
   test("TupleSketch: size interval covers all values in the distribution") {
     val t = ImputedTuple(1, 0, 0,

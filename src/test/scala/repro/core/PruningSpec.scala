@@ -104,6 +104,25 @@ class PruningSpec extends AnyFunSuite {
     assert(Pruning.pzUpperBound(3, 0.5, 0.7, 0.3, 1.1, 1.9, 1.2, 2.0) == 1.0) // θ > 1
   }
 
+  test("Theorem 4.3 bounds at least 1 − ρ² when lb ≤ E ≤ ub in [0, d] on both sides") {
+    // den = E_X − E_Y ≤ ub_X − lb_Y = range, and den ≤ d makes 1 − θ ≤ γ/d = ρ,
+    // so with α < 1 − ρ² the bound cannot prune a pair of full-mass sketches.
+    val rnd = new Random(43)
+    // A quarter of the points sit on a grid, so ties, 0 and d occur.
+    def pt(): Double = if (rnd.nextInt(4) == 0) rnd.nextInt(5) * d / 4.0 else rnd.nextDouble() * d
+    var engaged = 0
+    (1 to 100000).foreach { i =>
+      val x     = Array.fill(3)(pt()).sorted // lb, E, ub
+      val y     = Array.fill(3)(pt()).sorted
+      val gamma = pt()
+      val ub    = Pruning.pzUpperBound(d, gamma, x(1), x(0), x(2), y(1), y(0), y(2))
+      val rho   = gamma / d
+      assert(ub >= 1 - rho * rho - 1e-12, s"draw $i: x=${x.toSeq} y=${y.toSeq} gamma=$gamma ub=$ub")
+      if (ub < 1.0) engaged += 1
+    }
+    assert(engaged > 1000)
+  }
+
   test("refine agrees with prExact on the match decision") {
     val rnd = new Random(15)
     (1 to 200).foreach { i =>

@@ -122,10 +122,10 @@ object GridCounterProps extends Properties("GridCounters") {
   }
 }
 
-/** The Spark pipeline on random configurations: its windows and pair test
-  * are the engine's, so it returns the engine's pairs. `batchTs` from 1 to
-  * 30 against w ∈ {1, 40, longer than the stream} sends pairs both to the
-  * tasks (earlier batches) and to the driver (the same batch).
+/** The Spark pipeline on random configurations: its tasks impute and
+  * sketch, and its driver steps the engine's own window join, so it returns
+  * the engine's pairs. `batchTs` from 1 to 30 against w ∈ {1, 40, longer
+  * than the stream} makes pairs meet within one batch and across batches.
   */
 object SparkDiffProps extends Properties("SparkDiff") {
   override def overrideParameters(p: Test.Parameters): Test.Parameters = p.withMinSuccessfulTests(10)
@@ -138,4 +138,25 @@ object SparkDiffProps extends Properties("SparkDiff") {
     val engine = d.run(TERiDS)
     Prop(spark == engine) :| s"SparkTER ${spark.size} pairs, Engine ${engine.size}"
   }
+}
+
+/** The entity set ES on random configurations: after a run, `currentES` is
+  * the pairs found whose two tuples are both among the last min(w, n_s)
+  * records of their streams, computed from the streams alone, for
+  * w ∈ {1, 40, longer than the stream} against three unequal streams.
+  */
+object EntitySetProps extends Properties("EntitySet") {
+  override def overrideParameters(p: Test.Parameters): Test.Parameters = p.withMinSuccessfulTests(50)
+
+  property("currentES = the pairs found whose tuples are both in the last w records") =
+    Prop.forAllNoShrink(Draw.gen) { d =>
+      val streams = d.streams
+      val eng     = d.engine(TERiDS)
+      eng.run(streams)
+      val live = streams.flatMap(_.takeRight(d.w).map(_.rid)).toSet
+      val want = eng.allMatches.filter { case (a, b) => live(a) && live(b) }
+      Prop.classify(want.size < eng.allMatches.size, "pairs expired", "no pair expired") {
+        Prop(eng.currentES == want) :| s"currentES ${eng.currentES.size} pairs, expected ${want.size}"
+      }
+    }
 }

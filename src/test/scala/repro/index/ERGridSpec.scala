@@ -182,9 +182,10 @@ class ERGridSpec extends AnyFunSuite {
     }
   }
 
-  /** Each cell's topical part and first-cell keyword-free counts against a
-    * recount from the live sketches, and the cells' members in ascending
-    * cell order against every (tuple, cell) incidence.
+  /** Each entry's first cell, and each cell's topical part and first-cell
+    * keyword-free counts, against a recount from the live sketches, and the
+    * cells' members in ascending cell order against every (tuple, cell)
+    * incidence.
     */
   private def assertTopicSplit(g: ERGrid, live: Iterable[TupleSketch], sids: Seq[Int], clue: String): Unit = {
     val cells = g.cellsInOrder.toVector
@@ -195,6 +196,10 @@ class ERGridSpec extends AnyFunSuite {
     assert(incidences.sorted == live.toVector.flatMap(sk => g.cellIdsOf(sk).map(c => (sk.rid, sk.sid, c))).sorted, clue)
     def key(e: ERGrid.Entry) = (e.sk.rid, e.sk.sid)
     cells.foreach { c =>
+      c.entries.foreach { e =>
+        val ids = g.cellIdsOf(e.sk)
+        assert(e.first == ids.head && e.multiCell == (ids.size > 1), s"$clue cell ${c.id} entry ${key(e)}")
+      }
       assert(c.topical.map(key).sorted == c.entries.filter(_.sk.kw.nonEmpty).map(key).sorted, s"$clue cell ${c.id}")
       val free = sids.map { sid =>
         live.count(sk => sk.sid == sid && sk.kw.isEmpty && g.cellIdsOf(sk).head == c.id)

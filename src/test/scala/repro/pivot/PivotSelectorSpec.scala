@@ -42,9 +42,8 @@ class PivotSelectorSpec extends AnyFunSuite {
   }
 
   test("selectForAttr returns between 1 and cntMax pivots from the domain") {
-    val cfg = PivotSelector.Config(cntMax = 3)
     (0 until repo.d).foreach { j =>
-      val ps = PivotSelector.selectForAttr(repo, j, cfg)
+      val ps = PivotSelector.selectForAttr(repo, j, cntMax = 3, eMin = 1.5)
       assert(ps.nonEmpty && ps.size <= 3)
       ps.foreach(p => assert(repo.doms(j).contains(p)))
       assert(ps.distinct == ps)
@@ -56,34 +55,26 @@ class PivotSelectorSpec extends AnyFunSuite {
   }
 
   test("the main pivot maximizes single-pivot entropy among candidates") {
-    val cfg  = PivotSelector.Config(candLimit = 10, sampleVals = 100)
-    val main = PivotSelector.selectForAttr(repo, 0, cfg).head
+    val main = PivotSelector.select(repo).perAttr(0).head
     // A deliberately terrible pivot (distance 1 to everything) scores lower.
-    val badH  = PivotSelector.entropy(tk("nonexistenttoken"), repo.domTokens(0).take(100).toIndexedSeq, cfg.buckets)
-    val mainH = PivotSelector.entropy(Text.tokens(main), repo.domTokens(0).take(100).toIndexedSeq, cfg.buckets)
+    val vals  = repo.domTokens(0).take(100).toIndexedSeq
+    val badH  = PivotSelector.entropy(tk("nonexistenttoken"), vals, PivotSelector.Buckets)
+    val mainH = PivotSelector.entropy(Text.tokens(main), vals, PivotSelector.Buckets)
     assert(mainH >= badH)
   }
 
   test("higher eMin can only request more pivots") {
-    val lo = PivotSelector.selectForAttr(repo, 0, PivotSelector.Config(eMin = 0.0, cntMax = 4))
-    val hi = PivotSelector.selectForAttr(repo, 0, PivotSelector.Config(eMin = 5.0, cntMax = 4))
+    val lo = PivotSelector.selectForAttr(repo, 0, cntMax = 4, eMin = 0.0)
+    val hi = PivotSelector.selectForAttr(repo, 0, cntMax = 4, eMin = 5.0)
     assert(lo.size <= hi.size)
     assert(lo.size == 1) // eMin=0 is satisfied by the main pivot alone
     assert(hi.size == 4) // entropy can never reach 5 → cntMax pivots
   }
 
-  test("timedSelect reports positive cost and identical pivots") {
-    val t = PivotSelector.timedSelect(repo)
-    assert(t.nanos > 0)
-    assert(t.pivots == PivotSelector.select(repo))
-  }
-
   test("larger repositories cost more to select over (Fig. 11 shape)") {
     val small = new Repo(repo.rows.take(40))
-    val t1    = PivotSelector.timedSelect(small)
-    val t2    = PivotSelector.timedSelect(repo)
     // Not a strict assertion on time (noisy); just verify both complete and
     // the bigger input does not somehow produce fewer attribute pivots.
-    assert(t1.pivots.perAttr.size == t2.pivots.perAttr.size)
+    assert(PivotSelector.select(small).perAttr.size == PivotSelector.select(repo).perAttr.size)
   }
 }

@@ -87,7 +87,7 @@ class SparkTERSpec extends SparkSpec {
     }
   }
 
-  test("one batch longer than the stream: the driver tests every pair") {
+  test("one batch longer than the stream gives the engine's pairs and pair count") {
     val ter = mkSparkTer()
     assert(ter.runStreams(streams, batchTs = cfg.maxSteps + 1) == coreFound)
     assert(ter.stats.run.pairsTotal == coreEngine.stats.pairsTotal)
