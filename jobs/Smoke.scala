@@ -11,13 +11,13 @@ import repro.eval._
   */
 object Smoke {
   /** A run's ledger on two lines: pruning power with the refinements the
-    * token signatures settled, then imputation quality (imputed values,
-    * sentinel share, instance-cap binds, mean dropped mass per imputed
-    * tuple). `SparkPipelineJob` prints it too.
+    * count filter and the overlap bound settled, then imputation quality
+    * (imputed values, sentinel share, instance-cap binds, mean dropped mass
+    * per imputed tuple). `SparkPipelineJob` prints it too.
     */
   def ledger(s: RunStats): String =
     s"pruning=${s.pruningPower.map { case (k, v) => f"$k=${v * 100}%.2f%%" }.mkString(" ")} " +
-      s"settledBySignature=${s.refineSettled}\n" +
+      s"settledByFilters=${s.refineSettled}\n" +
       f"imputed=${s.imputedAttrs}%d values in ${s.imputedTuples}%d tuples " +
       f"sentinel=${100.0 * s.sentinelFallbacks / math.max(1L, s.imputedAttrs)}%.1f%% capBinds=${s.instanceCapBinds}%d " +
       f"droppedMass=${s.droppedMass / math.max(1L, s.imputedTuples)}%.4f"

@@ -38,10 +38,11 @@ final class RunStats extends Serializable {
   var refinedFull: Long          = 0
   var matchedPairs: Long         = 0
   var instancePairsChecked: Long = 0
-  /** Refinements `Pruning.testPair` settled from the token signatures,
-    * without a similarity test. Each is also booked as the refinement it
-    * is (never a match), so this is a share of refinedFull +
-    * prunedInstancePair, not a further outcome.
+  /** Refinements `Pruning.testPair` settled without a similarity test, by
+    * either filter: the token signatures' count filter or the overlap
+    * bound. Each is also booked as the refinement it is (never a match), so
+    * this is a share of refinedFull + prunedInstancePair, not a further
+    * outcome.
     */
   var refineSettled: Long        = 0
   /** ER-grid cells recomputed from their members (`ERGrid.recomputes`). */
@@ -201,7 +202,7 @@ final class Engine(
         case Pruning.ProbUBPruned  => stats.prunedProbUB += 1
         case r: Pruning.Refined    =>
           stats.instancePairsChecked += r.pairsChecked
-          if (r.bySignature) stats.refineSettled += 1
+          if (r.settled) stats.refineSettled += 1
           if (r.matched) addMatch(q.rid, c.rid)
           else if (r.earlyStopped) stats.prunedInstancePair += 1
           else stats.refinedFull += 1
@@ -218,10 +219,7 @@ final class Engine(
           // Sketches are built against the query tokens, so a cell holds a
           // query keyword iff it has a topical member.
           val cellKwPruned  = !qHasKw && cell.topical.isEmpty
-          val cellSimPruned = !cellKwPruned && {
-            val agg = cell.aggregate
-            math.min(Pruning.ubSimBySize(q.attrs, agg.attrs), Pruning.ubSimByPivot(q.attrs, agg.attrs)) <= gamma
-          }
+          val cellSimPruned = !cellKwPruned && Pruning.ubSim(q.bounds, cell.bounds) <= gamma
           // A keyword-pruned cell has no topical member, so it walks nothing.
           val members =
             if (qHasKw) cell.entries

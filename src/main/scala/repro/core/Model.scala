@@ -122,8 +122,14 @@ final case class AttrSketch(
   * and do not both have an empty value there, so every instance pair has
   * Jaccard 0 on j (`Pruning.sharedAttrs`). A hand-built sketch with every
   * bit set claims nothing.
+  *
+  * `unionHashes(j)` lists the `String.hashCode`s of the distinct tokens of
+  * all possible values of j, ascending; two distinct tokens with one hash
+  * both stay. `Pruning.overlapBound` reads it; a sketch without it (`null`)
+  * claims nothing.
   */
-final case class TupleSketch(t: ImputedTuple, kw: Set[String], attrs: Vector[AttrSketch], sig: Array[Long]) {
+final case class TupleSketch(t: ImputedTuple, kw: Set[String], attrs: Vector[AttrSketch], sig: Array[Long],
+                             unionHashes: Array[Array[Int]] = null) {
   // Copied out of `t`: the grid traversal reads them for every member.
   val rid: Long = t.rid
   val sid: Int  = t.sid
@@ -138,6 +144,25 @@ final case class TupleSketch(t: ImputedTuple, kw: Set[String], attrs: Vector[Att
   val lbMain: Double = attrs.iterator.map(_.distLo(0)).sum
   val ubMain: Double = attrs.iterator.map(_.distHi(0)).sum
   val eMain: Double  = attrs.iterator.map(_.distE(0)).sum
+
+  /** `attrs`' Lemma 4.1/4.2 inputs in one array (`Pruning.packBounds`):
+    * Theorem 4.2 reads it for every pair (`Pruning.ubSim`).
+    */
+  val bounds: Array[Double] = {
+    val n = attrs.length
+    Pruning.packBounds(Array.tabulate(n)(attrs(_).sizeMin), Array.tabulate(n)(attrs(_).sizeMax),
+      Array.tabulate(n)(attrs(_).distLo), Array.tabulate(n)(attrs(_).distHi))
+  }
+
+  /** The probabilities of `t.instances`, in order: a settled refinement
+    * walks these alone (`Pruning.settle`).
+    */
+  val probs: Array[Double] = {
+    val p = new Array[Double](t.instances.length)
+    var i = 0
+    while (i < p.length) { p(i) = t.instances(i).p; i += 1 }
+    p
+  }
 }
 
 object TupleSketch {
@@ -161,14 +186,17 @@ object TupleSketch {
     * `keywords` are the query keywords as tokens (`Params.keywordTokens`),
     * so keyword presence holds for any keyword set, in the topic vocabulary
     * or not. Each possible value is tokenized once, and its tokens feed the
-    * size interval, the pivot distances, the keyword set and the signature.
+    * size interval, the pivot distances, the keyword set, the signature and
+    * the union hashes.
     */
   def of(t: ImputedTuple, pivots: Pivots, keywords: Set[String]): TupleSketch = {
-    val kw  = Set.newBuilder[String]
-    val sig = new Array[Long](SigWords * t.d)
+    val kw     = Set.newBuilder[String]
+    val sig    = new Array[Long](SigWords * t.d)
+    val hashes = new Array[Array[Int]](t.d)
     val attrs = t.attrDists.indices.map { j =>
       val pivTok = pivots.tokens(j)
       val nPiv   = pivTok.length
+      var union  = Text.Empty
       var szMin  = Int.MaxValue
       var szMax  = 0
       val lo     = Array.fill(nPiv)(Double.MaxValue)
@@ -194,11 +222,13 @@ object TupleSketch {
           sig(SigWords * j + (b >>> 6)) |= 1L << (b & 63)
           a += 1
         }
+        union = Text.union(union, tk)
       }
       if (szMin == Int.MaxValue) szMin = 0
+      hashes(j) = Text.hashes(union)
       AttrSketch(szMin, szMax, lo, hi, e)
     }.toVector
-    TupleSketch(t, kw.result(), attrs, sig)
+    TupleSketch(t, kw.result(), attrs, sig, hashes)
   }
 }
 

@@ -63,6 +63,64 @@ object Pruning {
     s
   }
 
+  /** The per-attribute Lemma 4.1/4.2 inputs in the one array [[ubSim]]
+    * reads, attribute after attribute: sizeMin, sizeMax, the pivot count n,
+    * then n (distLo, distHi) pairs.
+    */
+  def packBounds(sizeMin: Array[Int], sizeMax: Array[Int],
+                 distLo: Array[Array[Double]], distHi: Array[Array[Double]]): Array[Double] = {
+    var n = 0
+    var j = 0
+    while (j < distLo.length) { n += 3 + 2 * distLo(j).length; j += 1 }
+    val b = new Array[Double](n)
+    var i = 0
+    j = 0
+    while (j < distLo.length) {
+      val lo = distLo(j)
+      val hi = distHi(j)
+      b(i) = sizeMin(j); b(i + 1) = sizeMax(j); b(i + 2) = lo.length
+      i += 3
+      var p = 0
+      while (p < lo.length) { b(i) = lo(p); b(i + 1) = hi(p); i += 2; p += 1 }
+      j += 1
+    }
+    b
+  }
+
+  /** Theorem 4.2's bound from two packed bound arrays ([[packBounds]]: a
+    * sketch's `bounds` or an ER-grid cell's): the smaller of the Lemma 4.1
+    * and Lemma 4.2 sums, both taken in one pass. Each sum runs in attribute
+    * order with [[ubSimBySize]]'s and [[ubSimByPivot]]'s terms, so it equals
+    * the Vector form bit for bit, and `ubSim(x, y) <= γ` is their `||`.
+    */
+  def ubSim(x: Array[Double], y: Array[Double]): Double = {
+    var bySize = 0.0
+    var byPiv  = 0.0
+    var i      = 0
+    var j      = 0
+    while (i < x.length) {
+      val aMin = x(i)
+      val aMax = x(i + 1)
+      val bMin = y(j)
+      val bMax = y(j + 1)
+      bySize += (if (aMin > bMax && aMin > 0) bMax / aMin else if (bMin > aMax && bMin > 0) aMax / bMin else 1.0)
+      val nx   = x(i + 2).toInt
+      val ny   = y(j + 2).toInt
+      val nPiv = math.min(nx, ny)
+      var gap  = 0.0
+      var p    = 0
+      while (p < nPiv) {
+        val g = minDistGap(x(i + 3 + 2 * p), x(i + 4 + 2 * p), y(j + 3 + 2 * p), y(j + 4 + 2 * p))
+        if (g > gap) gap = g
+        p += 1
+      }
+      byPiv += 1.0 - gap
+      i += 3 + 2 * nx
+      j += 3 + 2 * ny
+    }
+    math.min(bySize, byPiv)
+  }
+
   /** Lemma 4.3: Paley–Zygmund-based probability upper bound w.r.t. the main
     * pivot. X/Y are the (random) summed distances of the two imputed tuples
     * to the pivot; E/lb/ub come from the tuple sketches.
@@ -104,12 +162,13 @@ object Pruning {
 
   /** Refinement outcome: whether the pair matches, whether Theorem 4.4 cut
     * the enumeration short (instance-pair-level prune / early accept), and
-    * how many instance pairs were checked. `bySignature` marks a refinement
-    * that [[testPair]] settled from the token signatures; its other fields
-    * are [[refine]]'s, bit for bit.
+    * how many instance pairs were checked. `settled` marks a refinement that
+    * [[testPair]] settled without a similarity test, by the count filter
+    * ([[sharedAttrs]]) or the overlap bound ([[overlapBound]]); its other
+    * fields are [[refine]]'s, bit for bit.
     */
   final case class Refined(override val matched: Boolean, earlyStopped: Boolean, pairsChecked: Int, pr: Double,
-                           bySignature: Boolean)
+                           settled: Boolean)
       extends Outcome
 
   /** The attributes on which the two sketches' token signatures share a bit
@@ -134,21 +193,82 @@ object Pruning {
     n
   }
 
+  /** An upper bound of every instance pair's in-order similarity sum, from
+    * the union hashes (`TupleSketch.unionHashes`): the overlap and size
+    * filtering of PPJoin (Xiao et al., WWW 2008) per attribute. Attribute
+    * j's term is 1 where both sketches may be empty, 0 where their
+    * signatures share no bit, and otherwise `min(1, u / max(sizeMin_x,
+    * sizeMin_y))`, where u is the multiset intersection of the two hash
+    * lists, at least the tokens the two tuples may share on j. An instance
+    * pair's term `I / (|a| + |b| − I)` is at most `I / max(|a|, |b|)`, so at
+    * most this term; rounded division and addition are monotone, and the
+    * terms are summed in `Instance.simExceeds`' order, so no instance pair's
+    * sum exceeds the bound in floating point either.
+    *
+    * The sum stops once it exceeds `gamma`, and once the attributes left,
+    * at most 1 each, cannot lift it over `gamma` (with `simExceeds`' 1e-9
+    * margin, returning `gamma`). A sketch without union hashes claims
+    * nothing: the bound is `Double.PositiveInfinity`.
+    */
+  def overlapBound(x: TupleSketch, y: TupleSketch, gamma: Double): Double = {
+    val hx = x.unionHashes
+    val hy = y.unionHashes
+    if (hx == null || hy == null) return Double.PositiveInfinity
+    val bx = x.bounds
+    val by = y.bounds
+    val sx = x.sig
+    val sy = y.sig
+    var s  = 0.0
+    var i  = 0
+    var k  = 0
+    var j  = 0
+    while (j < hx.length) {
+      if (s + (hx.length - j) <= gamma - 1e-9) return gamma
+      val w = TupleSketch.SigWords * j
+      if ((sx(w) & sy(w) & 1L) != 0) s += 1.0
+      else {
+        var shared = false
+        var v      = w
+        while (v < w + TupleSketch.SigWords) { shared ||= (sx(v) & sy(v)) != 0; v += 1 }
+        if (shared) {
+          val a = hx(j)
+          val b = hy(j)
+          var u = 0
+          var p = 0
+          var q = 0
+          while (p < a.length && q < b.length) {
+            if (a(p) < b(q)) p += 1
+            else if (a(p) > b(q)) q += 1
+            else { u += 1; p += 1; q += 1 }
+          }
+          s += math.min(1.0, u / math.max(bx(i), by(k)))
+        }
+      }
+      if (s > gamma) return s
+      i += 3 + 2 * bx(i + 2).toInt
+      k += 3 + 2 * by(k + 2).toInt
+      j += 1
+    }
+    s
+  }
+
   /** The TER-iDS tuple-pair test: Theorems 4.1, 4.2 and 4.3 in turn, then
     * Theorem 4.4 refinement. `qHasKw` is `q.hasAnyKeyword(k)`, hoisted by
     * callers that test one arrival against many candidates.
     *
-    * A pair whose signatures share at most γ attributes has no instance
-    * pair above γ, so its refinement adds no probability: it walks the
-    * instance pairs for their mass alone, with [[refine]]'s order and
-    * stopping tests, and returns [[refine]]'s result without one similarity.
+    * A pair whose signatures share at most γ attributes, or whose overlap
+    * bound is at most γ, has no instance pair above γ, so its refinement
+    * adds no probability: it walks the instance probabilities for their
+    * mass alone ([[settle]]) and returns [[refine]]'s result without one
+    * similarity.
     */
   def testPair(q: TupleSketch, qHasKw: Boolean, c: TupleSketch,
                k: Set[String], gamma: Double, alpha: Double): Outcome =
     if (!qHasKw && !c.hasAnyKeyword(k)) KeywordPruned
-    else if (ubSimBySize(q, c) <= gamma || ubSimByPivot(q, c) <= gamma) SimUBPruned
+    else if (ubSim(q.bounds, c.bounds) <= gamma) SimUBPruned
     else if (probUpperBound(q, c, gamma) <= alpha) ProbUBPruned
-    else walk(q.t, c.t, k, gamma, alpha, enumerate = sharedAttrs(q, c) > gamma)
+    else if (sharedAttrs(q, c) <= gamma || overlapBound(q, c, gamma) <= gamma) settle(q.probs, c.probs, alpha)
+    else refine(q.t, c.t, k, gamma, alpha)
 
   /** Exact TER-iDS probability check (Eq. 2) with Theorem 4.4 early
     * termination: stop as soon as the accumulated probability exceeds α
@@ -158,18 +278,10 @@ object Pruning {
     * bounds of its remaining attributes cannot lift it over γ, and the
     * keyword predicate is evaluated only for the few pairs above γ.
     */
-  def refine(x: ImputedTuple, y: ImputedTuple, k: Set[String], gamma: Double, alpha: Double): Refined =
-    walk(x, y, k, gamma, alpha, enumerate = true)
-
-  /** [[refine]]'s loop. Without `enumerate` no instance pair is tested and
-    * `acc` stays 0.0, which is what the tests would give when none exceeds γ.
-    */
-  private[core] def walk(x: ImputedTuple, y: ImputedTuple, k: Set[String], gamma: Double, alpha: Double,
-                   enumerate: Boolean): Refined = {
+  def refine(x: ImputedTuple, y: ImputedTuple, k: Set[String], gamma: Double, alpha: Double): Refined = {
     val xi      = x.instances
     val yi      = y.instances
     val total   = xi.length * yi.length
-    val settled = !enumerate
     var acc     = 0.0
     var mass    = 0.0
     var checked = 0
@@ -180,19 +292,46 @@ object Pruning {
       while (j < yi.length) {
         val b  = yi(j)
         val pp = a.p * b.p
-        if (enumerate && a.simExceeds(b, gamma) && (a.hasKeyword(k) || b.hasKeyword(k))) acc += pp
+        if (a.simExceeds(b, gamma) && (a.hasKeyword(k) || b.hasKeyword(k))) acc += pp
         mass += pp
         checked += 1
-        if (acc > alpha) return Refined(matched = true, earlyStopped = checked < total, checked, acc, settled)
+        if (acc > alpha) return Refined(matched = true, earlyStopped = checked < total, checked, acc, settled = false)
         if (acc + (1.0 - mass) <= alpha)
           // "Early" only if enumeration was actually cut short — a reject on
           // the final instance pair is a full refinement, not a Thm 4.4 prune.
-          return Refined(matched = false, earlyStopped = checked < total, checked, acc, settled)
+          return Refined(matched = false, earlyStopped = checked < total, checked, acc, settled = false)
         j += 1
       }
       i += 1
     }
-    Refined(acc > alpha, earlyStopped = false, checked, acc, settled)
+    Refined(acc > alpha, earlyStopped = false, checked, acc, settled = false)
+  }
+
+  /** [[refine]]'s result for a pair with no instance pair above γ, from the
+    * two tuples' instance probabilities (`TupleSketch.probs`) alone: the
+    * same loop, order and stopping tests, with `acc` fixed at 0.0, which is
+    * what every similarity test would leave it.
+    */
+  private[core] def settle(xp: Array[Double], yp: Array[Double], alpha: Double): Refined = {
+    val total   = xp.length * yp.length
+    val acc     = 0.0
+    var mass    = 0.0
+    var checked = 0
+    var i       = 0
+    while (i < xp.length) {
+      val a = xp(i)
+      var j = 0
+      while (j < yp.length) {
+        mass += a * yp(j)
+        checked += 1
+        if (acc > alpha) return Refined(matched = true, earlyStopped = checked < total, checked, acc, settled = true)
+        if (acc + (1.0 - mass) <= alpha)
+          return Refined(matched = false, earlyStopped = checked < total, checked, acc, settled = true)
+        j += 1
+      }
+      i += 1
+    }
+    Refined(acc > alpha, earlyStopped = false, checked, acc, settled = true)
   }
 
   /** Naive exact probability (Eq. 2), no early stop — the straightforward

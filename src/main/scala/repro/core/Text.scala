@@ -86,6 +86,24 @@ object Text {
   /** Jaccard distance (1 - similarity); a metric on token sets. */
   def jdist(a: Array[String], b: Array[String]): Double = 1.0 - jaccard(a, b)
 
+  /** The distinct tokens of two token arrays, in token order (a merge). */
+  def union(a: Array[String], b: Array[String]): Array[String] =
+    if (a.length == 0) b
+    else if (b.length == 0) a
+    else {
+      val u = new Array[String](a.length + b.length)
+      var n = 0
+      var i = 0
+      var j = 0
+      while (i < a.length || j < b.length) {
+        val c = if (i == a.length) 1 else if (j == b.length) -1 else compare(a(i), b(j))
+        if (c <= 0) { u(n) = a(i); i += 1; if (c == 0) j += 1 }
+        else { u(n) = b(j); j += 1 }
+        n += 1
+      }
+      if (n == u.length) u else Arrays.copyOf(u, n)
+    }
+
   /** The `String.hashCode` of each token, in the array's order. */
   def hashes(a: Array[String]): Array[Int] = {
     val h = new Array[Int](a.length)

@@ -1,7 +1,7 @@
 package repro.index
 
 import scala.collection.mutable
-import repro.core.{AttrSketch, TupleSketch}
+import repro.core.{AttrSketch, Pruning, TupleSketch}
 
 /** ER-grid `G_ER` (§5.2): a d-dimensional grid over `[0,1]^d` of main-pivot
   * distance coordinates. Each imputed tuple occupies every cell its
@@ -92,8 +92,9 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
 
   /** One cell: its entries, their topical part, per-stream counts of the
     * keyword-free entries it is the first cell of, the running bounds with
-    * the number of members attaining each, and the last published aggregate
-    * (null once a bound or the topical members' keyword union may change).
+    * the number of members attaining each, the last published aggregate
+    * (null once a bound or the topical members' keyword union may change)
+    * and the last packed bounds (null once a bound may change).
     */
   final class Cell private[ERGrid] (val id: Long) {
     val entries = mutable.ArrayBuffer.empty[Entry]
@@ -101,11 +102,25 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
     /** The entries whose sketch may contain a query keyword (`sk.kw` non-empty). */
     val topical = mutable.ArrayBuffer.empty[Entry]
 
-    private val freeBySid = mutable.HashMap.empty[Int, Int]
+    // Per stream seen, its sid and its count of keyword-free entries whose
+    // first cell is this one: a few streams, so a linear scan of unboxed
+    // arrays (a count that falls to 0 keeps its slot).
+    private var freeSid   = new Array[Int](2)
+    private var freeN     = new Array[Int](2)
+    private var freeSids  = 0
     private var freeTotal = 0
 
+    private def freeSlot(sid: Int): Int = {
+      var i = 0
+      while (i < freeSids && freeSid(i) != sid) i += 1
+      i
+    }
+
     /** Keyword-free entries of stream `sid` whose first cell is this one. */
-    def keywordFree(sid: Int): Int = freeBySid.getOrElse(sid, 0)
+    def keywordFree(sid: Int): Int = {
+      val i = freeSlot(sid)
+      if (i < freeSids) freeN(i) else 0
+    }
 
     /** Keyword-free entries of every stream but `sid` whose first cell is
       * this one.
@@ -126,6 +141,7 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
       */
     private var exact = false
     private var agg: CellAgg = _
+    private var packed: Array[Double] = _
 
     private[ERGrid] def add(e: Entry): Unit = {
       entries += e
@@ -151,16 +167,37 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
     }
 
     private def countFree(sid: Int, delta: Int): Unit = {
-      val n = keywordFree(sid) + delta
-      if (n == 0) freeBySid.remove(sid) else freeBySid(sid) = n
+      val i = freeSlot(sid)
+      if (i == freeSids) {
+        if (i == freeSid.length) {
+          freeSid = java.util.Arrays.copyOf(freeSid, 2 * i)
+          freeN = java.util.Arrays.copyOf(freeN, 2 * i)
+        }
+        freeSid(i) = sid
+        freeSids += 1
+      }
+      freeN(i) += delta
       freeTotal += delta
     }
+
+    /** The published aggregate and packed bounds no longer hold. */
+    private def stale(): Unit = { agg = null; packed = null }
 
     def aggregate: CellAgg = {
       if (!exact) { rebuild(); rebuilt += 1 }
       if (agg == null)
         agg = CellAgg(topical.iterator.flatMap(_.sk.kw).toSet, lo.map(_.clone), hi.map(_.clone), sMin.clone, sMax.clone)
       agg
+    }
+
+    /** The aggregate's size and distance bounds packed for `Pruning.ubSim`
+      * (`Pruning.packBounds`). Unlike [[aggregate]], they are not rebuilt
+      * when only the topical members, and so the keyword union, change.
+      */
+    def bounds: Array[Double] = {
+      if (!exact) { rebuild(); rebuilt += 1 }
+      if (packed == null) packed = Pruning.packBounds(sMin, sMax, lo, hi)
+      packed
     }
 
     /** Bounds and counts from the members, in `CellAgg.of`'s order. */
@@ -177,25 +214,25 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
       exact = true
       var i = 0
       while (i < entries.length) { fold(entries(i).sk); i += 1 }
-      agg = null
+      stale()
     }
 
     private def fold(sk: TupleSketch): Unit = {
       var j = 0
       while (j < d) {
         val a = sk.attrs(j)
-        if (a.sizeMin < sMin(j)) { sMin(j) = a.sizeMin; sMinN(j) = 1; agg = null }
+        if (a.sizeMin < sMin(j)) { sMin(j) = a.sizeMin; sMinN(j) = 1; stale() }
         else if (a.sizeMin == sMin(j)) sMinN(j) += 1
-        if (a.sizeMax > sMax(j)) { sMax(j) = a.sizeMax; sMaxN(j) = 1; agg = null }
+        if (a.sizeMax > sMax(j)) { sMax(j) = a.sizeMax; sMaxN(j) = 1; stale() }
         else if (a.sizeMax == sMax(j)) sMaxN(j) += 1
         val l = lo(j)
         val h = hi(j)
         val n = math.min(l.length, a.distLo.length)
         var p = 0
         while (p < n) {
-          if (a.distLo(p) < l(p)) { l(p) = a.distLo(p); loN(j)(p) = 1; agg = null }
+          if (a.distLo(p) < l(p)) { l(p) = a.distLo(p); loN(j)(p) = 1; stale() }
           else if (a.distLo(p) == l(p)) loN(j)(p) += 1
-          if (a.distHi(p) > h(p)) { h(p) = a.distHi(p); hiN(j)(p) = 1; agg = null }
+          if (a.distHi(p) > h(p)) { h(p) = a.distHi(p); hiN(j)(p) = 1; stale() }
           else if (a.distHi(p) == h(p)) hiN(j)(p) += 1
           p += 1
         }
@@ -226,7 +263,7 @@ final class ERGrid(val d: Int, val cellsPerDim: Int) {
         }
         j += 1
       }
-      if (lost) { exact = false; agg = null }
+      if (lost) { exact = false; stale() }
     }
   }
 }

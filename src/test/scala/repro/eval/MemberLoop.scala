@@ -12,9 +12,9 @@ import repro.index.ERGrid
   * cell (`ERGrid.nonEmptyCells`, ascending cell order) and tests a tuple in
   * the first cell that holds it. A pair that reaches refinement is booked
   * from `Pruning.refine`'s full enumeration, so the counters also stand for
-  * `Pruning.testPair` without its token-signature shortcut; `settled` and
-  * `enumerated` count the refinements `testPair` settled from the
-  * signatures and those it enumerated.
+  * `Pruning.testPair` without its settling filters; `settled` and
+  * `enumerated` count the refinements `testPair` settled (by the count
+  * filter or the overlap bound) and those it enumerated.
   */
 final class MemberLoop(d: Int, rules: Seq[Rule], repo: Repo, pivots: Pivots, params: Params, method: Method) {
   require(method == TERiDS || method == IjGer, s"$method does not use the ER-grid")
@@ -73,7 +73,7 @@ final class MemberLoop(d: Int, rules: Seq[Rule], repo: Repo, pivots: Pivots, par
             case Pruning.SimUBPruned   => stats.prunedSimUB += 1
             case Pruning.ProbUBPruned  => stats.prunedProbUB += 1
             case t: Pruning.Refined    =>
-              if (t.bySignature) settled += 1 else enumerated += 1
+              if (t.settled) settled += 1 else enumerated += 1
               val r = Pruning.refine(q.t, c.t, k, params.gamma, params.alpha)
               stats.instancePairsChecked += r.pairsChecked
               if (r.matched) addMatch(q.rid, c.rid)

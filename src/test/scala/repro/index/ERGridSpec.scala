@@ -130,6 +130,30 @@ class ERGridSpec extends AnyFunSuite {
     }
   }
 
+  test("packed cell bounds equal a recompute's, read without the aggregate") {
+    (1 to 20).foreach { seed =>
+      val rnd  = new Random(seed)
+      val g    = new ERGrid(d, 3)
+      val live = collection.mutable.ArrayBuffer.empty[TupleSketch]
+      (1 to 60).foreach { i =>
+        if (live.nonEmpty && rnd.nextInt(3) == 0) g.remove(live.remove(rnd.nextInt(live.size)))
+        else {
+          val n  = 1 + rnd.nextInt(3)
+          val vs = Vector.fill(n)((Seq.fill(1 + rnd.nextInt(3))(
+            if (rnd.nextInt(5) == 0) s"topic${rnd.nextInt(2)}" else s"p${rnd.nextInt(4)}").mkString(" "), 1.0 / n))
+          val sk = sketch(i, i % 2, i, Vector(vs.distinctBy(_._1), Vector((s"q${rnd.nextInt(3)} q1", 1.0))))
+          g.insert(sk)
+          live += sk
+        }
+        g.cellsInOrder.foreach { c =>
+          val agg = ERGrid.CellAgg.of(c.entries.map(_.sk), d)
+          assert(c.bounds.sameElements(Pruning.packBounds(agg.sizeMin, agg.sizeMax, agg.lo, agg.hi)),
+            s"seed $seed step $i cell ${c.id}")
+        }
+      }
+    }
+  }
+
   private def same(a: ERGrid.CellAgg, b: ERGrid.CellAgg): Boolean =
     a.kw == b.kw && a.sizeMin.sameElements(b.sizeMin) && a.sizeMax.sameElements(b.sizeMax) &&
       a.lo.indices.forall(j => a.lo(j).sameElements(b.lo(j)) && a.hi(j).sameElements(b.hi(j)))

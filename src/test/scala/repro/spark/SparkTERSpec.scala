@@ -68,13 +68,13 @@ class SparkTERSpec extends SparkSpec {
     ter
   }
 
-  test("batch = 1 timestamp: a task tests every pair across timestamps") {
+  test("one batch per timestamp gives the engine's pairs and pair count") {
     assert(perTimestamp.allMatches == coreFound)
     assert(perTimestamp.stats.run.pairsTotal == coreEngine.stats.pairsTotal)
     assert(perTimestamp.stats.batches == cfg.maxSteps)
   }
 
-  test("the tasks' imputation ledger equals the engine's") {
+  test("pairs and every RunStats counter equal the engine's at three batch sizes") {
     val e = coreEngine.stats
     assert(e.imputedAttrs > 0 && e.sentinelFallbacks > 0 && e.refineSettled > 0)
     Seq(1, 25, cfg.maxSteps + 1).foreach { batchTs =>
@@ -151,6 +151,9 @@ class SparkTERSpec extends SparkSpec {
     assert((q.rid, q.sid, q.ts, q.kw) == (o.rid, o.sid, o.ts, o.kw))
     assert(q.t.instances == o.t.instances)
     assert(q.sig.sameElements(o.sig))
+    assert(q.bounds.sameElements(o.bounds) && q.probs.sameElements(o.probs))
+    assert(q.unionHashes.length == o.unionHashes.length)
+    q.unionHashes.zip(o.unionHashes).foreach { case (a, b) => assert(a.sameElements(b)) }
     assert(q.attrs.size == o.attrs.size)
     q.attrs.zip(o.attrs).foreach { case (a, b) =>
       assert((a.sizeMin, a.sizeMax) == (b.sizeMin, b.sizeMax))
